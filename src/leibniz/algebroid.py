@@ -33,6 +33,7 @@ from .poly import (
     ChartMismatchError,
     ExactDivisionError,
     Poly,
+    _poly_sum,
     divide_exact,
     embed,
     parse_poly,
@@ -78,8 +79,10 @@ class PolyFraction:
             raise ZeroDivisionError("zero denominator")
         # cheap exact cancellation when the denominator divides out
         if den.degree() == 0:
-            num = num * (Fraction(1) / den.constant_term())
-            den = Poly.const(num.chart, 1)
+            scale = den.constant_term()
+            if scale != 1:
+                num = num * (Fraction(1) / scale)
+                den = Poly.const(num.chart, 1)
         elif not num.is_zero:
             try:
                 num = divide_exact(num, den)
@@ -167,6 +170,23 @@ class PolyFraction:
 
     def __repr__(self) -> str:
         return f"PolyFraction({str(self)!r})"
+
+
+def _fraction_sum(chart: Chart, products) -> PolyFraction:
+    """Sum of ``e * p`` over pairs of a PolyFraction ``e`` and a Poly ``p``.
+
+    Numerators over one shared denominator are summed in place, so each
+    distinct denominator costs one fraction addition instead of one per term.
+    """
+    groups: dict[Poly, list[Poly]] = {}
+    for e, p in products:
+        if not e.is_zero:
+            groups.setdefault(e.den, []).append(e.num * p)
+    acc = None
+    for den, nums in groups.items():
+        term = PolyFraction(_poly_sum(chart, nums), den)
+        acc = term if acc is None else acc + term
+    return PolyFraction.zero(chart) if acc is None else acc
 
 
 # -- structures ---------------------------------------------------------------
@@ -281,11 +301,14 @@ def lift_section(A: AlgebroidStructure, sigma: Section) -> Poly:
     """The fiberwise-linear function sum_a xi_a * sigma^a(x) on the dual chart."""
     if sigma.m != A.m or sigma.chart != A.base_chart:
         raise ChartMismatchError("section does not match the structure's bundle")
-    acc = Poly.zero(A.dual_chart)
-    for a, comp in enumerate(sigma.components):
-        xi = Poly.var(A.dual_chart, A.dual_chart.fiber[a])
-        acc = acc + xi * embed(comp, A.dual_chart)
-    return acc
+    chart = A.dual_chart
+    return _poly_sum(
+        chart,
+        (
+            Poly.var(chart, chart.fiber[a]) * embed(comp, chart)
+            for a, comp in enumerate(sigma.components)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -348,11 +371,10 @@ def lambda_from_structure(A: AlgebroidStructure) -> DualChartTensor:
             entries[n + a][i] = embed(A.rho1[i][a], chart)
     for a in range(m):
         for b in range(m):
-            acc = zero
-            for d in range(m):
-                if not A.C[a][b][d].is_zero:
-                    acc = acc + embed(A.C[a][b][d], chart) * xi[d]
-            entries[n + a][n + b] = acc
+            entries[n + a][n + b] = _poly_sum(
+                chart,
+                (embed(A.C[a][b][d], chart) * xi[d] for d in range(m) if not A.C[a][b][d].is_zero),
+            )
     result = DualChartTensor(TensorField2(chart, entries), n, m)
     ok, reason = result.certify_linear()
     if not ok:
@@ -364,14 +386,14 @@ def _fiber_linear_decompose(p: Poly, n: int, m: int) -> list[Poly]:
     """Write a fiber-degree-1 Poly as sum_d xi_d * q_d(x); returns the q_d."""
     chart = p.chart
     base = chart.base_only()
-    out = [Poly.zero(base) for _ in range(m)]
+    monomials: list[list[Poly]] = [[] for _ in range(m)]
     for exponent, coeff in p.terms():
         fiber = exponent[n:]
         if sum(fiber) != 1:
             raise NotLinearError("entry has a term not of fiber degree 1")
         d = next(k for k, e in enumerate(fiber) if e == 1)
-        out[d] = out[d] + Poly(base, {tuple(exponent[:n]): coeff})
-    return out
+        monomials[d].append(Poly(base, {tuple(exponent[:n]): coeff}))
+    return [_poly_sum(base, terms) for terms in monomials]
 
 
 def structure_from_lambda(L: DualChartTensor | TensorField2) -> AlgebroidStructure:
@@ -399,14 +421,12 @@ def structure_from_lambda(L: DualChartTensor | TensorField2) -> AlgebroidStructu
 def _anchor_derivative(A: AlgebroidStructure, which: int, sigma: Section, f: Poly) -> Poly:
     """rho(sigma) applied to a base function f, as a base Poly."""
     rho = A.rho1 if which == 1 else A.rho2
-    acc = Poly.zero(A.base_chart)
+    terms = []
     for i, name in enumerate(A.base_chart.names):
         df = f.diff(name)
-        if df.is_zero:
-            continue
-        for a, comp in enumerate(sigma.components):
-            acc = acc + comp * rho[i][a] * df
-    return acc
+        if not df.is_zero:
+            terms.extend(comp * rho[i][a] * df for a, comp in enumerate(sigma.components))
+    return _poly_sum(A.base_chart, terms)
 
 
 def section_bracket(A: AlgebroidStructure, s1: Section, s2: Section) -> Section:
@@ -416,14 +436,15 @@ def section_bracket(A: AlgebroidStructure, s1: Section, s2: Section) -> Section:
     base = A.base_chart
     comps = []
     for d in range(A.m):
-        acc = Poly.zero(base)
-        for a in range(A.m):
-            for b in range(A.m):
-                if not (s1.components[a].is_zero or s2.components[b].is_zero):
-                    acc = acc + s1.components[a] * s2.components[b] * A.C[a][b][d]
-        acc = acc + _anchor_derivative(A, 1, s1, s2.components[d])
-        acc = acc - _anchor_derivative(A, 2, s2, s1.components[d])
-        comps.append(acc)
+        terms = [
+            s1.components[a] * s2.components[b] * A.C[a][b][d]
+            for a in range(A.m)
+            for b in range(A.m)
+            if not (s1.components[a].is_zero or s2.components[b].is_zero)
+        ]
+        terms.append(_anchor_derivative(A, 1, s1, s2.components[d]))
+        terms.append(-_anchor_derivative(A, 2, s2, s1.components[d]))
+        comps.append(_poly_sum(base, terms))
     return Section(base, tuple(comps))
 
 
@@ -553,32 +574,30 @@ class Prop4DualTensor:
     def entry(self, mu: int, nu: int) -> PolyFraction:
         chart = self.dual_chart
         n, m = self.n, self.m
-        zero = PolyFraction.zero(chart)
         if mu < n and nu < n:
-            return zero
+            return PolyFraction.zero(chart)
         if mu < n <= nu:  # x row, xi column: -(-rho2) = +rho2
             return PolyFraction(embed(self.rho2[mu][nu - n], chart))
         if nu < n <= mu:  # xi row, x column: +rho2
             return PolyFraction(embed(self.rho2[nu][mu - n], chart))
         a, b = mu - n, nu - n
-        return self.c_diag[a] if a == b else zero
+        return self.c_diag[a] if a == b else PolyFraction.zero(chart)
 
     def bracket_fraction(self, f: Poly, h: Poly) -> PolyFraction:
         """Exact [f, h] for this tensor, as a PolyFraction."""
         chart = self.dual_chart
         df = [f.diff(name) for name in chart.names]
         dh = [h.diff(name) for name in chart.names]
-        acc = PolyFraction.zero(chart)
-        for mu, dfm in enumerate(df):
-            if dfm.is_zero:
-                continue
-            for nu, dhn in enumerate(dh):
-                if dhn.is_zero:
-                    continue
-                e = self.entry(mu, nu)
-                if not e.is_zero:
-                    acc = acc + e * dfm * dhn
-        return acc
+        return _fraction_sum(
+            chart,
+            (
+                (self.entry(mu, nu), dfm * dhn)
+                for mu, dfm in enumerate(df)
+                if not dfm.is_zero
+                for nu, dhn in enumerate(dh)
+                if not dhn.is_zero
+            ),
+        )
 
     def annihilation_residuals(self, h: Poly, slot: str = "first") -> dict[str, PolyFraction]:
         """Bracket of h against every coordinate, h in the given slot."""
@@ -611,23 +630,13 @@ class Prop4DualTensor:
         """
         chart = self.dual_chart
         dh = [h.diff(name) for name in chart.names]
-        comps = []
-        for mu in range(self.n + self.m):
-            acc = PolyFraction.zero(chart)
-            for nu, dhn in enumerate(dh):
-                if dhn.is_zero:
-                    continue
-                e = self.entry(mu, nu)
-                if not e.is_zero:
-                    acc = acc + e * dhn
-            comps.append(acc.to_poly())
-        return tuple(comps)
-
-    def x_dot_contrib(self, h: Poly) -> tuple[Poly, ...]:
-        return self.vf_contrib(h)[: self.n]
-
-    def xi_dot_contrib(self, h: Poly) -> tuple[Poly, ...]:
-        return self.vf_contrib(h)[self.n :]
+        return tuple(
+            _fraction_sum(
+                chart,
+                ((self.entry(mu, nu), dhn) for nu, dhn in enumerate(dh) if not dhn.is_zero),
+            ).to_poly()
+            for mu in range(self.n + self.m)
+        )
 
 
 def prop4_construct_dual_tensor(h1: Poly) -> Prop4DualTensor:
@@ -665,22 +674,20 @@ def prop4_construct_dual_tensor(h1: Poly) -> Prop4DualTensor:
     zero = Poly.zero(base)
     rho2 = [[zero] * m for _ in range(n)]
     for a in range(m):
-        diag = Poly.zero(base)
-        for k in range(m):
-            if k != a:
-                diag = diag - coeffs[k] * coeffs[k]
-        rho2[a][a] = diag
+        rho2[a][a] = -_poly_sum(base, (coeffs[k] * coeffs[k] for k in range(m) if k != a))
         for i in range(m):
             if i != a:
                 rho2[i][a] = coeffs[i] * coeffs[a]
     c_diag = []
     for a in range(m):
-        num = Poly.zero(chart)
-        for i, name in enumerate(base.names):
-            dh = h1.diff(name)
-            if dh.is_zero or rho2[i][a].is_zero:
-                continue
-            num = num + embed(rho2[i][a], chart) * dh
+        num = _poly_sum(
+            chart,
+            (
+                embed(rho2[i][a], chart) * dh
+                for i, dh in enumerate(h1.diff(name) for name in base.names)
+                if not (dh.is_zero or rho2[i][a].is_zero)
+            ),
+        )
         c_diag.append(PolyFraction(-num, embed(coeffs[a], chart)))
     result = Prop4DualTensor(chart, h1, rho2, c_diag)
     residuals = result.annihilation_residuals(h1, "first")

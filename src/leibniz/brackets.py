@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Chart, ChartMismatchError, Poly, grad, poly_matrix
+from .poly import Chart, ChartMismatchError, Poly, _poly_sum, grad, poly_matrix
 
 Antisymmetric = "antisymmetric"
 Symmetric = "symmetric"
@@ -92,15 +92,16 @@ class TensorField2:
             raise ChartMismatchError("bracket arguments must share the tensor's chart")
         df = grad(f)
         dh = grad(h)
-        acc = Poly.zero(self.chart)
-        for i, row in enumerate(self.entries):
-            if df[i].is_zero:
-                continue
-            for j, b in enumerate(row):
-                if b.is_zero or dh[j].is_zero:
-                    continue
-                acc = acc + df[i] * b * dh[j]
-        return acc
+        return _poly_sum(
+            self.chart,
+            (
+                df[i] * b * dh[j]
+                for i, row in enumerate(self.entries)
+                if not df[i].is_zero
+                for j, b in enumerate(row)
+                if not (b.is_zero or dh[j].is_zero)
+            ),
+        )
 
     def is_antisymmetric(self) -> bool:
         d = self.chart.dim
@@ -153,10 +154,10 @@ class VectorFieldPoly:
 
     def apply_to(self, f: Poly) -> Poly:
         """Directional derivative X(f) = sum_i X^i d_i f."""
-        acc = Poly.zero(self.chart)
-        for name, comp in zip(self.chart.names, self.components):
-            acc = acc + comp * f.diff(name)
-        return acc
+        return _poly_sum(
+            self.chart,
+            (comp * f.diff(name) for name, comp in zip(self.chart.names, self.components)),
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorFieldPoly):
@@ -189,14 +190,14 @@ def hamiltonian_vf(tensor: TensorField2, h: Poly) -> VectorFieldPoly:
     if h.chart != tensor.chart:
         raise ChartMismatchError("Hamiltonian must share the tensor's chart")
     dh = grad(h)
-    comps = []
-    for row in tensor.entries:
-        acc = Poly.zero(tensor.chart)
-        for b, d in zip(row, dh):
-            if not (b.is_zero or d.is_zero):
-                acc = acc + b * d
-        comps.append(acc)
-    return VectorFieldPoly(tensor.chart, tuple(comps))
+    comps = tuple(
+        _poly_sum(
+            tensor.chart,
+            (b * d for b, d in zip(row, dh) if not (b.is_zero or d.is_zero)),
+        )
+        for row in tensor.entries
+    )
+    return VectorFieldPoly(tensor.chart, comps)
 
 
 def almost_leibniz_vf(pair: MetriplecticPair, h1: Poly, h2: Poly) -> VectorFieldPoly:

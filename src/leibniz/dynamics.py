@@ -33,7 +33,7 @@ from .brackets import (
     almost_leibniz_vf,
     hamiltonian_vf,
 )
-from .poly import Chart, ChartMismatchError, Poly, embed
+from .poly import Chart, ChartMismatchError, Poly, _poly_sum, embed
 
 __all__ = [
     "OdeSystem",
@@ -119,24 +119,21 @@ def rhs_from_algebroid(
     n, m = structure.n, structure.m
     names = chart.names
     dh = [h.diff(name) for name in names]
+    xi = [Poly.var(chart, name) for name in chart.fiber]
     components: list[Poly] = []
     for i in range(n):
-        comp = Poly.zero(chart)
-        for a in range(m):
-            comp = comp - embed(structure.rho2[i][a], chart) * dh[n + a]
-        components.append(comp)
+        components.append(
+            -_poly_sum(chart, (embed(structure.rho2[i][a], chart) * dh[n + a] for a in range(m)))
+        )
     for a in range(m):
-        comp = Poly.zero(chart)
+        terms = []
         for b in range(m):
-            contracted = Poly.zero(chart)
-            for d in range(m):
-                contracted = contracted + embed(structure.C[a][b][d], chart) * Poly.var(
-                    chart, names[n + d]
-                )
-            comp = comp + contracted * dh[n + b]
-        for i in range(n):
-            comp = comp + embed(structure.rho1[i][a], chart) * dh[i]
-        components.append(comp)
+            contracted = _poly_sum(
+                chart, (embed(structure.C[a][b][d], chart) * xi[d] for d in range(m))
+            )
+            terms.append(contracted * dh[n + b])
+        terms.extend(embed(structure.rho1[i][a], chart) * dh[i] for i in range(n))
+        components.append(_poly_sum(chart, terms))
     return OdeSystem(chart, tuple(components), provenance)
 
 
@@ -276,12 +273,10 @@ def integrate(system: OdeSystem, x0: Sequence[float], config: IntegratorConfig) 
                 f"rk4_fixed needs {n_steps} steps which exceeds max_steps={config.max_steps}"
             )
         kernel = _kernels.rk4_numba if fast else _kernels.rk4_numpy
-        times, states, accepted, rejected, status = kernel(
-            tables.coeffs, tables.expts, tables.offsets, y0, config.t_end, n_steps
-        )
+        args = (tables.coeffs, tables.expts, tables.offsets, y0, config.t_end, n_steps)
     else:
         kernel = _kernels.dp54_numba if fast else _kernels.dp54_numpy
-        times, states, accepted, rejected, status = kernel(
+        args = (
             tables.coeffs,
             tables.expts,
             tables.offsets,
@@ -292,6 +287,10 @@ def integrate(system: OdeSystem, x0: Sequence[float], config: IntegratorConfig) 
             config.rel_tol,
             config.max_steps,
         )
+    # A blow-up overflows inside the rhs evaluation; the kernel reports it as
+    # STATUS_NONFINITE, so numpy's floating-point warnings are redundant here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, states, accepted, rejected, status = kernel(*args)
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
@@ -308,10 +307,10 @@ def lie_derivative(system: OdeSystem, f: Poly) -> Poly:
     """Exact derivative of ``f`` along the flow: sum_mu rhs_mu * df/dmu."""
     if f.chart != system.chart:
         raise ChartMismatchError("observable chart does not match the system chart")
-    out = Poly.zero(system.chart)
-    for name, comp in zip(system.chart.names, system.rhs):
-        out = out + comp * f.diff(name)
-    return out
+    return _poly_sum(
+        system.chart,
+        (comp * f.diff(name) for name, comp in zip(system.chart.names, system.rhs)),
+    )
 
 
 @dataclass(frozen=True)

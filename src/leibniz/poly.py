@@ -27,7 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -150,21 +151,38 @@ class Poly:
         self.chart = chart
         self._terms = cleaned
 
+    @classmethod
+    def _trusted(cls, chart: Chart, terms: dict[Exponent, Fraction]) -> "Poly":
+        """Wrap ``terms`` as a Poly without validating or copying it.
+
+        Invariant, guaranteed by the caller: every key is a tuple of
+        ``chart.dim`` nonnegative ints, every value is a nonzero ``Fraction``,
+        and no one else holds a reference to ``terms``.  Only code in this
+        module that builds such a dict by construction (arithmetic on
+        already-valid Polys) may call it; everything else, including the
+        parser and structure files, goes through ``Poly(chart, terms)``.
+        """
+        p = object.__new__(cls)
+        p.chart = chart
+        p._terms = terms
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, chart: Chart) -> "Poly":
-        return cls(chart)
+        return cls._trusted(chart, {})
 
     @classmethod
     def const(cls, chart: Chart, value) -> "Poly":
-        return cls(chart, {(0,) * chart.dim: _as_fraction(value)})
+        value = _as_fraction(value)
+        return cls._trusted(chart, {(0,) * chart.dim: value} if value else {})
 
     @classmethod
     def var(cls, chart: Chart, name: str) -> "Poly":
         exponent = [0] * chart.dim
         exponent[chart.index(name)] = 1
-        return cls(chart, {tuple(exponent): Fraction(1)})
+        return cls._trusted(chart, {tuple(exponent): Fraction(1)})
 
     # -- inspection --------------------------------------------------------
 
@@ -206,7 +224,7 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def _check_chart(self, other: "Poly") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatchError(
                 f"charts differ: {self.chart.names} vs {other.chart.names}"
             )
@@ -223,57 +241,53 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        result = dict(self._terms)
-        for exponent, coeff in other._terms.items():
-            acc = result.get(exponent, Fraction(0)) + coeff
-            if acc == 0:
-                result.pop(exponent, None)
-            else:
-                result[exponent] = acc
-        return Poly(self.chart, result)
+        return _poly_sum(self.chart, (self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.chart, {e: -c for e, c in self._terms.items()})
+        return Poly._trusted(self.chart, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _poly_sum(self.chart, (self, -other))
 
     def __rsub__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _poly_sum(self.chart, (other, -self))
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             factor = _as_fraction(other)
             if factor == 0:
                 return Poly.zero(self.chart)
-            return Poly(self.chart, {e: c * factor for e, c in self._terms.items()})
+            return Poly._trusted(self.chart, {e: c * factor for e, c in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_chart(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.chart)
-        if self.degree() + other.degree() > _DEGREE_CAP:
-            raise DegreeCapError(
-                f"product degree {self.degree() + other.degree()} exceeds cap {_DEGREE_CAP}"
-            )
+        degree = self.degree() + other.degree()
+        if degree > _DEGREE_CAP:
+            raise DegreeCapError(f"product degree {degree} exceeds cap {_DEGREE_CAP}")
         result: dict[Exponent, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                exponent = tuple(a + b for a, b in zip(e1, e2))
-                acc = result.get(exponent, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    result.pop(exponent, None)
+                exponent = tuple(map(add, e1, e2))
+                coeff = c1 * c2
+                if exponent in result:
+                    coeff += result[exponent]
+                    if coeff:
+                        result[exponent] = coeff
+                    else:
+                        del result[exponent]
                 else:
-                    result[exponent] = acc
-        return Poly(self.chart, result)
+                    result[exponent] = coeff
+        return Poly._trusted(self.chart, result)
 
     __rmul__ = __mul__
 
@@ -305,9 +319,9 @@ class Poly:
             e = exponent[idx]
             if e == 0:
                 continue
-            lowered = exponent[:idx] + (e - 1,) + exponent[idx + 1 :]
-            result[lowered] = result.get(lowered, Fraction(0)) + coeff * e
-        return Poly(self.chart, result)
+            # lowering one exponent is injective, so no two terms collide
+            result[exponent[:idx] + (e - 1,) + exponent[idx + 1 :]] = coeff * e
+        return Poly._trusted(self.chart, result)
 
     def evaluate(self, point: Sequence[float]) -> float:
         """Float evaluation, accumulating terms in graded-lex order."""
@@ -370,19 +384,21 @@ class Poly:
 
 def embed(p: Poly, chart: Chart) -> Poly:
     """Reinterpret ``p`` on a chart containing all of its variables."""
-    if p.chart == chart:
+    if p.chart is chart or p.chart == chart:
         return p
-    missing = [name for name in p.chart.names if name not in chart.names]
+    index = chart._index
+    missing = [name for name in p.chart.names if name not in index]
     if missing:
         raise ChartMismatchError(f"target chart is missing variables {missing}")
-    positions = [chart.index(name) for name in p.chart.names]
+    positions = [index[name] for name in p.chart.names]
+    dim = chart.dim
     terms: dict[Exponent, Fraction] = {}
-    for exponent, coeff in p.terms():
-        lifted = [0] * chart.dim
+    for exponent, coeff in p._terms.items():
+        lifted = [0] * dim
         for pos, e in zip(positions, exponent):
             lifted[pos] = e
         terms[tuple(lifted)] = coeff
-    return Poly(chart, terms)
+    return Poly._trusted(chart, terms)
 
 
 def restrict(p: Poly, chart: Chart) -> Poly:
@@ -391,11 +407,11 @@ def restrict(p: Poly, chart: Chart) -> Poly:
     Every variable of ``p`` that is dropped by ``chart`` must appear with
     exponent zero in every term, otherwise ``ChartMismatchError`` is raised.
     """
-    if p.chart == chart:
+    if p.chart is chart or p.chart == chart:
         return p
     positions = []
     for pos, name in enumerate(p.chart.names):
-        if name not in chart.names:
+        if name not in chart._index:
             positions.append((pos, name))
     keep = [p.chart.index(name) for name in chart.names]
     terms: dict[Exponent, Fraction] = {}
@@ -406,7 +422,32 @@ def restrict(p: Poly, chart: Chart) -> Poly:
                     f"cannot restrict: term depends on dropped variable {name!r}"
                 )
         terms[tuple(exponent[k] for k in keep)] = coeff
-    return Poly(chart, terms)
+    return Poly._trusted(chart, terms)
+
+
+def _poly_sum(chart: Chart, polys: Iterable[Poly]) -> Poly:
+    """Sum of ``polys`` (all on ``chart``), accumulated in place in one dict.
+
+    This replaces ``acc = acc + p`` loops, which copy the accumulator once per
+    term.  Coefficients that cancel to zero are deleted as they appear.
+    """
+    terms: dict[Exponent, Fraction] = {}
+    for p in polys:
+        if p.chart is not chart and p.chart != chart:
+            raise ChartMismatchError(f"charts differ: {chart.names} vs {p.chart.names}")
+        if not terms:
+            terms = dict(p._terms)
+            continue
+        for exponent, coeff in p._terms.items():
+            if exponent in terms:
+                coeff += terms[exponent]
+                if coeff:
+                    terms[exponent] = coeff
+                else:
+                    del terms[exponent]
+            else:
+                terms[exponent] = coeff
+    return Poly._trusted(chart, terms)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -433,7 +474,7 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
             )
         factor = r_coeff / d_coeff
         quotient[step] = quotient.get(step, Fraction(0)) + factor
-        remainder = remainder - Poly(p.chart, {step: factor}) * d
+        remainder = remainder - Poly._trusted(p.chart, {step: factor}) * d
     return Poly(p.chart, quotient)
 
 
@@ -487,7 +528,7 @@ def parse_poly(chart: Chart, text: str) -> Poly:
         else:
             i += 1
 
-    total = Poly.zero(chart)
+    monomials: list[Poly] = []
     for sign, term_text in pieces:
         coeff = Fraction(sign)
         exponent = [0] * chart.dim
@@ -510,8 +551,8 @@ def parse_poly(chart: Chart, text: str) -> Poly:
                     f"unknown variable {name!r} (chart has {chart.names})"
                 ) from None
             exponent[idx] += power
-        total = total + Poly(chart, {tuple(exponent): coeff})
-    return total
+        monomials.append(Poly(chart, {tuple(exponent): coeff}))
+    return _poly_sum(chart, monomials)
 
 
 def format_poly(p: Poly) -> str:

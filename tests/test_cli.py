@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line interface: flags, outputs, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from leibniz.catalog import ENTRY_NAMES
+from leibniz.catalog import ENTRY_NAMES, catalog_build
 from leibniz.cli import main
+from leibniz.dynamics import lie_derivative
 from leibniz.svgplot import PROJECTIONS, PlotSpec, ProjectionError, projection_axes
 
 
@@ -254,6 +256,51 @@ class TestExport:
     def test_verify_rejects_missing_source(self, capsys):
         assert main(["verify", "nothing-here.json"]) == 2
         assert "neither a catalog entry" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestGoldenOutput:
+    """Byte-for-byte pins of certificate and export output.
+
+    The residual strings fix term order and number formatting, so any change
+    to the exact arithmetic that alters a result, or how it prints, fails here.
+    """
+
+    @pytest.mark.parametrize(
+        "flags, golden",
+        [([], "verify_all.json"), (["--symbolic"], "verify_all_symbolic.json")],
+    )
+    def test_verify_all_json(self, capsys, flags, golden):
+        assert main(["verify", "--all", "--json", *flags]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+    def test_derived_flows(self):
+        # multi-term polynomials: the flows and the exact derivatives of the
+        # observables along them, for every entry with numeric and symbolic
+        # parameters
+        lines = []
+        for name in ENTRY_NAMES:
+            for symbolic in (False, True):
+                entry = catalog_build(name, symbolic=symbolic)
+                system = entry.system
+                tag = f"{name} symbolic={symbolic}"
+                for coord, rhs in zip(system.chart.names, system.rhs):
+                    lines.append(f"{tag} d{coord}/dt = {rhs}")
+                for obs, f in entry.observables.items():
+                    lines.append(f"{tag} d({obs})/dt = {lie_derivative(system, f)}")
+        text = "\n".join(lines) + "\n"
+        assert text.encode() == (DATA / "derived_flows.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["maxwell-bloch-algebroid", "rigid-body-algebroid", "rigid-body-metriplectic-algebroid"],
+    )
+    def test_export(self, tmp_path, capsys, entry):
+        out = tmp_path / "structure.json"
+        assert main(["export", entry, "-o", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{entry}-structure.json").read_bytes()
 
 
 class TestPlotSpec:

@@ -17,6 +17,7 @@ from leibniz.poly import (
     get_degree_cap,
     grad,
     parse_poly,
+    restrict,
     set_degree_cap,
 )
 
@@ -255,3 +256,92 @@ def test_evaluate_is_ring_hom(p, q, point):
 @given(polys())
 def test_str_round_trip(p):
     assert parse_poly(C3, str(p)) == p
+
+
+# -- the unvalidated internal constructor -----------------------------------------
+
+# Exponents up to 2 make sums and products collide and cancel often, and keep a
+# product of two drawn polynomials (degree <= 12) inside the degree cap.
+_raw_terms = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+    _coeffs,
+    max_size=5,
+)
+
+# A chart holding C3's variables in another order, plus one more.
+_WIDE = Chart(base=("x2", "y", "x3", "x1"))
+
+
+def _assert_clean(p):
+    """The invariant that Poly._trusted leaves to its callers."""
+    for exponent, coeff in p._terms.items():
+        assert type(exponent) is tuple and len(exponent) == p.chart.dim
+        assert all(type(e) is int and e >= 0 for e in exponent)
+        assert type(coeff) is Fraction and coeff != 0
+    assert p == Poly(p.chart, dict(p._terms))
+
+
+def _ref_combine(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_terms, _raw_terms, _coeffs, st.integers(min_value=-3, max_value=3))
+def test_internal_results_are_clean(a, b, scale, k):
+    p, q = Poly(C3, a), Poly(C3, b)
+    a, b = dict(p._terms), dict(q._terms)
+    cases = {
+        "p + q": (p + q, _ref_combine(a, b, 1)),
+        "p - q": (p - q, _ref_combine(a, b, -1)),
+        "p - p": (p - p, {}),
+        "-p": (-p, {e: -c for e, c in a.items()}),
+        "k + p": (k + p, _ref_combine({(0, 0, 0): k}, a, 1)),
+        "k - p": (k - p, _ref_combine({(0, 0, 0): k}, a, -1)),
+        "p * q": (p * q, _ref_mul(a, b)),
+        # the cross terms cancel, so product terms must be deleted as they vanish
+        "(p + q) * (p - q)": (
+            (p + q) * (p - q),
+            _ref_mul(_ref_combine(a, b, 1), _ref_combine(a, b, -1)),
+        ),
+        "scale * p": (scale * p, {e: c * scale for e, c in a.items() if c * scale}),
+        "p * k": (p * k, {e: c * k for e, c in a.items() if c * k}),
+        "p ** 2": (p**2, _ref_mul(a, a)),
+        "p ** 0": (p**0, {(0, 0, 0): 1}),
+    }
+    for i, name in enumerate(C3.names):
+        lowered = {}
+        for e, c in a.items():
+            if e[i]:
+                lowered[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+        cases[f"d/d{name} p"] = (p.diff(name), lowered)
+    for label, (result, expected) in cases.items():
+        _assert_clean(result)
+        assert result.chart is C3, label
+        assert result._terms == {e: Fraction(c) for e, c in expected.items()}, label
+    wide = embed(p, _WIDE)
+    _assert_clean(wide)
+    assert wide._terms == {(e[1], 0, e[2], e[0]): c for e, c in a.items()}
+    assert restrict(wide, C3) == p
+    assert embed(p, C3) is p
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError, match="length"):
+        Poly(C3, {(1, 0): 1})
+    with pytest.raises(ValueError, match="negative"):
+        Poly(C3, {(1, -1, 0): 1})
+    with pytest.raises(TypeError, match="float"):
+        Poly(C3, {(1, 0, 0): 0.5})
+    assert Poly(C3, {(1, 0, 0): 0, (0, 1, 0): "3/4"})._terms == {(0, 1, 0): Fraction(3, 4)}
