@@ -199,7 +199,7 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._terms))
 
     def fiber_degree(self) -> int:
         """Total degree in the fiber variables only; -1 for zero."""
@@ -261,13 +261,14 @@ class Poly:
         return _poly_sum(self.chart, (other, -self))
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        # Poly first: isinstance against Fraction goes through the ABC machinery
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             factor = _as_fraction(other)
             if factor == 0:
                 return Poly.zero(self.chart)
             return Poly._trusted(self.chart, {e: c * factor for e, c in self._terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
         self._check_chart(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.chart)
@@ -387,10 +388,11 @@ def embed(p: Poly, chart: Chart) -> Poly:
     if p.chart is chart or p.chart == chart:
         return p
     index = chart._index
-    missing = [name for name in p.chart.names if name not in index]
+    names = p.chart.names
+    missing = [name for name in names if name not in index]
     if missing:
         raise ChartMismatchError(f"target chart is missing variables {missing}")
-    positions = [index[name] for name in p.chart.names]
+    positions = [index[name] for name in names]
     dim = chart.dim
     terms: dict[Exponent, Fraction] = {}
     for exponent, coeff in p._terms.items():
