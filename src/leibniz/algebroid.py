@@ -678,13 +678,14 @@ def prop4_construct_dual_tensor(h1: Poly) -> Prop4DualTensor:
         for i in range(m):
             if i != a:
                 rho2[i][a] = coeffs[i] * coeffs[a]
+    dh1 = [h1.diff(name) for name in base.names]
     c_diag = []
     for a in range(m):
         num = _poly_sum(
             chart,
             (
                 embed(rho2[i][a], chart) * dh
-                for i, dh in enumerate(h1.diff(name) for name in base.names)
+                for i, dh in enumerate(dh1)
                 if not (dh.is_zero or rho2[i][a].is_zero)
             ),
         )

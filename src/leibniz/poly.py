@@ -430,8 +430,8 @@ def restrict(p: Poly, chart: Chart) -> Poly:
 def _poly_sum(chart: Chart, polys: Iterable[Poly]) -> Poly:
     """Sum of ``polys`` (all on ``chart``), accumulated in place in one dict.
 
-    This replaces ``acc = acc + p`` loops, which copy the accumulator once per
-    term.  Coefficients that cancel to zero are deleted as they appear.
+    Use it for sums of many terms: ``acc = acc + p`` in a loop copies the
+    accumulator once per term.  Coefficients that cancel are deleted at once.
     """
     terms: dict[Exponent, Fraction] = {}
     for p in polys:
@@ -475,9 +475,10 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
                 f"{d} does not divide {p} (stuck at remainder term {r_exp})"
             )
         factor = r_coeff / d_coeff
-        quotient[step] = quotient.get(step, Fraction(0)) + factor
+        # the remainder's leading term strictly decreases, so every step is new
+        quotient[step] = factor
         remainder = remainder - Poly._trusted(p.chart, {step: factor}) * d
-    return Poly(p.chart, quotient)
+    return Poly._trusted(p.chart, quotient)
 
 
 def grad(p: Poly) -> tuple[Poly, ...]:

@@ -12,6 +12,7 @@ from leibniz.poly import (
     DegreeCapError,
     Poly,
     PolyParseError,
+    divide_exact,
     embed,
     format_poly,
     get_degree_cap,
@@ -330,6 +331,10 @@ def test_internal_results_are_clean(a, b, scale, k):
         _assert_clean(result)
         assert result.chart is C3, label
         assert result._terms == {e: Fraction(c) for e, c in expected.items()}, label
+    if not q.is_zero:
+        quotient = divide_exact(p * q, q)
+        _assert_clean(quotient)
+        assert quotient == p
     wide = embed(p, _WIDE)
     _assert_clean(wide)
     assert wide._terms == {(e[1], 0, e[2], e[0]): c for e, c in a.items()}
