@@ -1,18 +1,14 @@
 """Numeric integration kernels.
 
-Two independent implementations of the same fixed-step RK4 and adaptive
-Dormand-Prince 5(4) loops:
-
-* scalar-loop kernels compiled with numba ``@njit`` (used by default), and
-* a vectorized pure-numpy fallback.
-
-The fallback is selected when the environment variable ``LEIBNIZ_NO_NUMBA``
-is set to a non-empty value, or when numba is unavailable.  Right-hand sides
+One numpy implementation of each integration loop: fixed-step RK4
+(``rk4``) and adaptive Dormand-Prince 5(4) (``dp54``).  Right-hand sides
 arrive as flat polynomial tables: ``coeffs[t]`` and integer exponent rows
 ``expts[t, :]`` for term ``t``, with component ``i`` owning the slice
 ``offsets[i]:offsets[i + 1]``.
 
-Status codes returned by every kernel:
+Each kernel returns ``(times, states, accepted, rejected, status)``, where
+``times`` and ``states`` are array-likes of the rows reached so far.  Status
+codes:
     0  completed
     1  max_steps exhausted before reaching t_end
     2  non-finite state encountered (blow-up)
@@ -22,25 +18,16 @@ Status codes returned by every kernel:
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by kernel selection
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    njit = None
-    NUMBA_AVAILABLE = False
 
 STATUS_OK = 0
 STATUS_MAX_STEPS = 1
 STATUS_NONFINITE = 2
 STATUS_UNDERFLOW = 3
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau; the systems are autonomous, so the nodes c
+# are never needed
 _DP_A = (
     (0.2,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -66,11 +53,11 @@ _SAFETY = 0.9
 
 
 def use_numba() -> bool:
-    """True when the compiled kernels should be used for this call."""
-    return NUMBA_AVAILABLE and not os.environ.get("LEIBNIZ_NO_NUMBA")
+    """Always False: there is no compiled kernel path.
 
-
-# -- pure-numpy implementation ---------------------------------------------------
+    Kept because benchmark records read it to name the kernel path they ran.
+    """
+    return False
 
 
 def eval_rhs_numpy(coeffs, expts, offsets, y):
@@ -85,7 +72,7 @@ def eval_rhs_numpy(coeffs, expts, offsets, y):
     return out
 
 
-def rk4_numpy(coeffs, expts, offsets, y0, t_end, n_steps):
+def rk4(coeffs, expts, offsets, y0, t_end, n_steps):
     d = y0.shape[0]
     h = t_end / n_steps
     times = np.empty(n_steps + 1)
@@ -108,15 +95,14 @@ def rk4_numpy(coeffs, expts, offsets, y0, t_end, n_steps):
     return times, states, n_steps, 0, STATUS_OK
 
 
-def dp54_numpy(coeffs, expts, offsets, y0, t_end, h_init, abs_tol, rel_tol, max_steps):
+def dp54(coeffs, expts, offsets, y0, t_end, h_init, abs_tol, rel_tol, max_steps):
+    # Accepted rows are appended as they come, so memory grows with the
+    # output and not with max_steps; integrate() turns the lists into arrays.
     d = y0.shape[0]
-    times = np.empty(max_steps + 1)
-    states = np.empty((max_steps + 1, d))
-    times[0] = 0.0
-    states[0] = y0
-    n = 1
     t = 0.0
     y = y0.copy()
+    times = [t]
+    states = [y]
     h = min(h_init, t_end)
     accepted = 0
     rejected = 0
@@ -125,14 +111,14 @@ def dp54_numpy(coeffs, expts, offsets, y0, t_end, h_init, abs_tol, rel_tol, max_
     k = np.empty((7, d))
     k[0] = eval_rhs_numpy(coeffs, expts, offsets, y)
     if not np.all(np.isfinite(k[0])):
-        return times[:n], states[:n], accepted, rejected, STATUS_NONFINITE
+        return times, states, accepted, rejected, STATUS_NONFINITE
     steps = 0
     while t < t_end:
         if steps >= max_steps:
-            return times[:n], states[:n], accepted, rejected, STATUS_MAX_STEPS
+            return times, states, accepted, rejected, STATUS_MAX_STEPS
         steps += 1
         if h < 1e-14 * max(1.0, abs(t)):
-            return times[:n], states[:n], accepted, rejected, STATUS_UNDERFLOW
+            return times, states, accepted, rejected, STATUS_UNDERFLOW
         h = min(h, t_end - t)
         for s in range(1, 7):
             ys = y + h * (a[s - 1][np.newaxis, :] @ k[:s]).ravel()
@@ -149,185 +135,12 @@ def dp54_numpy(coeffs, expts, offsets, y0, t_end, h_init, abs_tol, rel_tol, max_
             t = t + h
             y = y5
             k[0] = k[6]  # first-same-as-last
-            times[n] = t
-            states[n] = y
-            n += 1
+            times.append(t)
+            states.append(y)
             accepted += 1
             factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-0.2)
         else:
             rejected += 1
             factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2)) if math.isfinite(err) else _MIN_FACTOR
         h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-    return times[:n], states[:n], accepted, rejected, STATUS_OK
-
-
-# -- numba implementation ----------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _eval_rhs_nb(coeffs, expts, offsets, y, out):  # pragma: no cover - compiled
-        d = offsets.shape[0] - 1
-        for i in range(d):
-            acc = 0.0
-            for t in range(offsets[i], offsets[i + 1]):
-                term = coeffs[t]
-                for kk in range(y.shape[0]):
-                    p = expts[t, kk]
-                    v = y[kk]
-                    while p > 0:
-                        term *= v
-                        p -= 1
-                acc += term
-            out[i] = acc
-
-    @njit(cache=True)
-    def rk4_numba(coeffs, expts, offsets, y0, t_end, n_steps):  # pragma: no cover
-        d = y0.shape[0]
-        h = t_end / n_steps
-        times = np.empty(n_steps + 1)
-        states = np.empty((n_steps + 1, d))
-        times[0] = 0.0
-        states[0] = y0
-        y = y0.copy()
-        k1 = np.empty(d)
-        k2 = np.empty(d)
-        k3 = np.empty(d)
-        k4 = np.empty(d)
-        tmp = np.empty(d)
-        for step in range(n_steps):
-            _eval_rhs_nb(coeffs, expts, offsets, y, k1)
-            for i in range(d):
-                tmp[i] = y[i] + 0.5 * h * k1[i]
-            _eval_rhs_nb(coeffs, expts, offsets, tmp, k2)
-            for i in range(d):
-                tmp[i] = y[i] + 0.5 * h * k2[i]
-            _eval_rhs_nb(coeffs, expts, offsets, tmp, k3)
-            for i in range(d):
-                tmp[i] = y[i] + h * k3[i]
-            _eval_rhs_nb(coeffs, expts, offsets, tmp, k4)
-            ok = True
-            for i in range(d):
-                tmp[i] = y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                if not np.isfinite(tmp[i]):
-                    ok = False
-            if not ok:
-                # abort, keeping the last finite state
-                return times[: step + 1], states[: step + 1], step, 0, STATUS_NONFINITE
-            for i in range(d):
-                y[i] = tmp[i]
-            times[step + 1] = (step + 1) * h
-            states[step + 1] = y
-        return times, states, n_steps, 0, STATUS_OK
-
-    @njit(cache=True)
-    def dp54_numba(
-        coeffs, expts, offsets, y0, t_end, h_init, abs_tol, rel_tol, max_steps
-    ):  # pragma: no cover - compiled
-        d = y0.shape[0]
-        times = np.empty(max_steps + 1)
-        states = np.empty((max_steps + 1, d))
-        times[0] = 0.0
-        states[0] = y0
-        n = 1
-        t = 0.0
-        y = y0.copy()
-        h = h_init if h_init < t_end else t_end
-        accepted = 0
-        rejected = 0
-        aa = np.zeros((6, 6))
-        aa[0, 0] = 0.2
-        aa[1, 0] = 3.0 / 40.0
-        aa[1, 1] = 9.0 / 40.0
-        aa[2, 0] = 44.0 / 45.0
-        aa[2, 1] = -56.0 / 15.0
-        aa[2, 2] = 32.0 / 9.0
-        aa[3, 0] = 19372.0 / 6561.0
-        aa[3, 1] = -25360.0 / 2187.0
-        aa[3, 2] = 64448.0 / 6561.0
-        aa[3, 3] = -212.0 / 729.0
-        aa[4, 0] = 9017.0 / 3168.0
-        aa[4, 1] = -355.0 / 33.0
-        aa[4, 2] = 46732.0 / 5247.0
-        aa[4, 3] = 49.0 / 176.0
-        aa[4, 4] = -5103.0 / 18656.0
-        aa[5, 0] = 35.0 / 384.0
-        aa[5, 1] = 0.0
-        aa[5, 2] = 500.0 / 1113.0
-        aa[5, 3] = 125.0 / 192.0
-        aa[5, 4] = -2187.0 / 6784.0
-        aa[5, 5] = 11.0 / 84.0
-        ee = np.empty(7)
-        ee[0] = 71.0 / 57600.0
-        ee[1] = 0.0
-        ee[2] = -71.0 / 16695.0
-        ee[3] = 71.0 / 1920.0
-        ee[4] = -17253.0 / 339200.0
-        ee[5] = 22.0 / 525.0
-        ee[6] = -1.0 / 40.0
-        k = np.empty((7, d))
-        ys = np.empty(d)
-        _eval_rhs_nb(coeffs, expts, offsets, y, k[0])
-        for i in range(d):
-            if not np.isfinite(k[0, i]):
-                return times[:n], states[:n], accepted, rejected, STATUS_NONFINITE
-        steps = 0
-        while t < t_end:
-            if steps >= max_steps:
-                return times[:n], states[:n], accepted, rejected, STATUS_MAX_STEPS
-            steps += 1
-            lim = 1.0 if t > -1.0 and t < 1.0 else abs(t)
-            if h < 1e-14 * lim:
-                return times[:n], states[:n], accepted, rejected, STATUS_UNDERFLOW
-            if h > t_end - t:
-                h = t_end - t
-            for s in range(1, 7):
-                for i in range(d):
-                    acc = 0.0
-                    for j in range(s):
-                        acc += aa[s - 1, j] * k[j, i]
-                    ys[i] = y[i] + h * acc
-                _eval_rhs_nb(coeffs, expts, offsets, ys, k[s])
-            err = 0.0
-            finite = True
-            for i in range(d):
-                if not np.isfinite(ys[i]):
-                    finite = False
-                ev = 0.0
-                for s in range(7):
-                    ev += ee[s] * k[s, i]
-                ev *= h
-                if not np.isfinite(ev):
-                    finite = False
-                if finite:
-                    sc = abs_tol + rel_tol * abs(ys[i])
-                    r = abs(ev) / sc
-                    if r > err:
-                        err = r
-            if finite and err <= 1.0:
-                t = t + h
-                for i in range(d):
-                    y[i] = ys[i]
-                    k[0, i] = k[6, i]
-                times[n] = t
-                states[n] = y
-                n += 1
-                accepted += 1
-                factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-0.2)
-            else:
-                rejected += 1
-                factor = _MIN_FACTOR
-                if finite:
-                    f2 = _SAFETY * err ** (-0.2)
-                    if f2 > factor:
-                        factor = f2
-            if factor > _MAX_FACTOR:
-                factor = _MAX_FACTOR
-            if factor < _MIN_FACTOR:
-                factor = _MIN_FACTOR
-            h = h * factor
-        return times[:n], states[:n], accepted, rejected, STATUS_OK
-
-else:  # pragma: no cover
-    rk4_numba = None
-    dp54_numba = None
+    return times, states, accepted, rejected, STATUS_OK

@@ -483,7 +483,13 @@ def theorem1_check(
     """
     if f.chart != A.base_chart:
         raise ChartMismatchError("f must be a base-chart function")
-    T = lambda_from_structure(A).tensor
+    return _theorem1_residuals(A, lambda_from_structure(A).tensor, s1, s2, f)
+
+
+def _theorem1_residuals(
+    A: AlgebroidStructure, T: TensorField2, s1: Section, s2: Section, f: Poly
+) -> StructureTensorCertificate:
+    """``theorem1_check`` against an already assembled dual-chart tensor ``T``."""
     chart = A.dual_chart
     l1 = lift_section(A, s1)
     l2 = lift_section(A, s2)

@@ -26,12 +26,13 @@ from typing import Callable, Mapping, Sequence
 
 from .algebroid import (
     AlgebroidStructure,
+    DualChartTensor,
     PolyFraction,
     Prop4DualTensor,
+    _theorem1_residuals,
     lambda_from_structure,
     prop4_construct_dual_tensor,
     structure_to_json,
-    theorem1_check,
     Section,
 )
 from .brackets import (
@@ -836,7 +837,11 @@ def structure_certifications(A: AlgebroidStructure) -> list[CheckResult]:
     """Structure-level certifications for any fiber-linear structure:
     fiberwise linearity of the assembled tensor and the lift/anchor
     compatibility identities over all basis-section pairs."""
-    L = lambda_from_structure(A)
+    return _structure_checks(A, lambda_from_structure(A))
+
+
+def _structure_checks(A: AlgebroidStructure, L: DualChartTensor) -> list[CheckResult]:
+    """``structure_certifications`` against the assembled tensor ``L`` of ``A``."""
     ok_linear, reason = L.certify_linear()
     results = [CheckResult("fiberwise-linearity", ok_linear, detail=reason if not ok_linear else "")]
     base = A.base_chart
@@ -845,7 +850,7 @@ def structure_certifications(A: AlgebroidStructure) -> list[CheckResult]:
     ok_theorem = True
     for s1 in sections:
         for s2 in sections:
-            cert = theorem1_check(A, s1, s2, f)
+            cert = _theorem1_residuals(A, L.tensor, s1, s2, f)
             ok_theorem = ok_theorem and cert.passed
     results.append(CheckResult("structure-tensor-compatibility", ok_theorem))
     return results
@@ -871,7 +876,8 @@ def entry_certifications(entry: CatalogEntry) -> list[CheckResult]:
         results.extend(structure_certifications(entry.structure))
     elif entry.kind == "metriplectic_algebroid":
         A1, L2 = entry.structure
-        results.extend(structure_certifications(A1))
+        L1 = lambda_from_structure(A1)
+        results.extend(_structure_checks(A1, L1))
         h1 = entry.hamiltonians["h1"]
         h2 = entry.hamiltonians["h2"]
         results.append(CheckResult("partner-symmetric", L2.is_symmetric()))
@@ -881,8 +887,7 @@ def entry_certifications(entry: CatalogEntry) -> list[CheckResult]:
                 L2.annihilates(h1, slot="first") and L2.annihilates(h1, slot="second"),
             )
         )
-        L1 = lambda_from_structure(A1).tensor
-        residuals = annihilator_residuals(L1, h2, slot="first")
+        residuals = annihilator_residuals(L1.tensor, h2, slot="first")
         bad = {k: v for k, v in residuals.items() if not v.is_zero}
         wl = _whitelist_lookup(entry.name, "annihilation:first-structure:second-generator")
         whitelisted = bool(bad) and all(

@@ -1,15 +1,18 @@
 """Command-line interface: list, verify, simulate, and plot catalog systems.
 
 Exit codes are a stable contract for CI use: 0 success, 1 verification or
-integration failure, 2 usage error (bad flags, unknown names, inadmissible
-parameters, invalid projections).  All outputs are deterministic for fixed
-flags: CSV/JSON byte-identical across reruns, SVG likewise.
+integration failure, or a reader that closed stdout early (``leibniz verify
+--all | head``; no traceback is printed), 2 usage error (bad flags, unknown
+names, inadmissible parameters, invalid projections).  All outputs are
+deterministic for fixed flags: CSV/JSON byte-identical across reruns, SVG
+likewise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -346,7 +349,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "plot": cmd_plot,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return 1
     except (_UsageError, ParameterError, ProjectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -357,6 +365,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at os.devnull after the reader went away.
+
+    Output still buffered would otherwise fail again when the interpreter
+    flushes stdout at exit, printing an "Exception ignored" message.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

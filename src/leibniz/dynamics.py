@@ -4,8 +4,8 @@ This module turns the symbolic structures (bracket tensors, metriplectic
 pairs, fiber-linear structures on a dual chart) into explicit polynomial
 right-hand sides, compiles them to flat coefficient/exponent tables, and
 integrates them with either a fixed-step RK4 scheme or an adaptive
-Dormand-Prince 5(4) scheme.  Hot loops run through numba-compiled kernels
-with a pure-numpy fallback (``LEIBNIZ_NO_NUMBA=1`` selects the fallback).
+Dormand-Prince 5(4) scheme.  The stepping loops live in ``_kernels``, one
+numpy implementation per method.
 
 Observables are tracked symbolically first: ``lie_derivative`` computes the
 exact polynomial derivative of an observable along the flow, so tests can
@@ -256,8 +256,8 @@ class Trajectory:
 def integrate(system: OdeSystem, x0: Sequence[float], config: IntegratorConfig) -> Trajectory:
     """Integrate from ``x0`` at t=0 to ``config.t_end``.
 
-    Deterministic: the same system, initial state, config, and kernel path
-    produce bitwise-identical trajectories.
+    Deterministic: the same system, initial state and config produce
+    bitwise-identical trajectories on a given platform.
     """
     y0 = np.asarray(x0, dtype=np.float64)
     if y0.shape != (system.dim,):
@@ -265,17 +265,16 @@ def integrate(system: OdeSystem, x0: Sequence[float], config: IntegratorConfig) 
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
     tables = compile_rhs(system)
-    fast = _kernels.use_numba()
     if config.method == "rk4_fixed":
         n_steps = math.ceil(config.t_end / config.step)
         if n_steps > config.max_steps:
             raise ValueError(
                 f"rk4_fixed needs {n_steps} steps which exceeds max_steps={config.max_steps}"
             )
-        kernel = _kernels.rk4_numba if fast else _kernels.rk4_numpy
+        kernel = _kernels.rk4
         args = (tables.coeffs, tables.expts, tables.offsets, y0, config.t_end, n_steps)
     else:
-        kernel = _kernels.dp54_numba if fast else _kernels.dp54_numpy
+        kernel = _kernels.dp54
         args = (
             tables.coeffs,
             tables.expts,

@@ -1,10 +1,16 @@
 """End-to-end tests for the command-line interface: flags, outputs, exit codes."""
 
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import leibniz
 from leibniz.catalog import ENTRY_NAMES, catalog_build
 from leibniz.cli import main
 from leibniz.dynamics import lie_derivative
@@ -145,6 +151,15 @@ class TestSimulate:
         ]
         assert main(argv) == 2
         assert "max_steps" in capsys.readouterr().err
+
+    def test_huge_step_budget_is_not_preallocated(self, tmp_path, capsys):
+        out = tmp_path / "orbit.csv"
+        argv = [
+            "simulate", "revised-rigid-body",
+            "--t-end", "1", "--max-steps", "1000000000", "-o", str(out),
+        ]
+        assert main(argv) == 0
+        assert "status 0" in capsys.readouterr().out
 
 
 class TestPlot:
@@ -322,9 +337,43 @@ class TestPlotSpec:
             PlotSpec(projection="x12", width=50, height=480)
 
 
+class _ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone away, as in ``leibniz verify --all | head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--all"], ["simulate", "revised-rigid-body", "--t-end", "1"]]
+    )
+    def test_closed_stdout_exits_1_quietly(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_leaves_nothing_at_shutdown(self):
+        # the interpreter's final flush of stdout must not fail a second time
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(leibniz.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "leibniz.cli", "list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 2

@@ -16,6 +16,7 @@ from leibniz.algebroid import (
     prop4_construct_dual_tensor,
 )
 from leibniz.brackets import MetriplecticPair, TensorField2
+from leibniz.catalog import catalog_build
 from leibniz.dynamics import (
     IntegratorConfig,
     OdeSystem,
@@ -357,6 +358,13 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="max_steps"):
             IntegratorConfig(max_steps=0)
 
+    def test_adaptive_memory_follows_output_not_max_steps(self):
+        # a budget of 10**9 steps must not be allocated up front
+        cfg = IntegratorConfig(method="rk45_adaptive", t_end=1.0, max_steps=10**9)
+        traj = integrate(spin_system(), [1.0, 0.5, 0.2], cfg)
+        assert traj.ok
+        assert traj.states.shape == (traj.accepted + 1, 3)
+
     def test_determinism_bitwise(self):
         for method in ("rk4_fixed", "rk45_adaptive"):
             cfg = IntegratorConfig(method=method, t_end=5.0, step=1e-2)
@@ -367,28 +375,74 @@ class TestIntegrate:
             assert (a.accepted, a.rejected) == (b.accepted, b.rejected)
 
 
-class TestKernelPathAgreement:
-    def test_rk4_paths_agree(self, monkeypatch):
-        cfg = IntegratorConfig(method="rk4_fixed", t_end=5.0, step=1e-2)
-        fast = integrate(dissipative_top_system(), [1.0, 0.5, 0.2], cfg)
-        monkeypatch.setenv("LEIBNIZ_NO_NUMBA", "1")
-        slow = integrate(dissipative_top_system(), [1.0, 0.5, 0.2], cfg)
-        assert np.allclose(fast.states, slow.states, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(fast.times, slow.times)
+# Dormand & Prince (1980), "A family of embedded Runge-Kutta formulae": the
+# stage matrix and the 5th-order weights the solution advances with.
+DP_A = [
+    [],
+    [Fraction(1, 5)],
+    [Fraction(3, 40), Fraction(9, 40)],
+    [Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)],
+    [Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561), Fraction(-212, 729)],
+    [
+        Fraction(9017, 3168),
+        Fraction(-355, 33),
+        Fraction(46732, 5247),
+        Fraction(49, 176),
+        Fraction(-5103, 18656),
+    ],
+]
+DP_B = [
+    Fraction(35, 384),
+    Fraction(0),
+    Fraction(500, 1113),
+    Fraction(125, 192),
+    Fraction(-2187, 6784),
+    Fraction(11, 84),
+]
 
-    def test_adaptive_paths_agree(self, monkeypatch):
-        cfg = IntegratorConfig(method="rk45_adaptive", t_end=10.0)
-        fast = integrate(spin_system(), [1.0, 0.5, 0.2], cfg)
-        monkeypatch.setenv("LEIBNIZ_NO_NUMBA", "1")
-        slow = integrate(spin_system(), [1.0, 0.5, 0.2], cfg)
-        assert fast.ok and slow.ok
-        assert np.max(np.abs(fast.states[-1] - slow.states[-1])) < 1e-8
 
-    def test_env_flag_selects_fallback(self, monkeypatch):
-        monkeypatch.setenv("LEIBNIZ_NO_NUMBA", "1")
-        assert not _kernels.use_numba()
-        monkeypatch.delenv("LEIBNIZ_NO_NUMBA")
-        assert _kernels.use_numba() == _kernels.NUMBA_AVAILABLE
+def _exact_rk_step(system, y, h, a, b) -> list[Fraction]:
+    """One explicit Runge-Kutta step in rational arithmetic."""
+    k: list[list[Fraction]] = []
+    for row in a:
+        stage = [yi + h * sum(aj * kj[i] for aj, kj in zip(row, k)) for i, yi in enumerate(y)]
+        k.append([p.evaluate_exact(stage) for p in system.rhs])
+    return [yi + h * sum(bj * kj[i] for bj, kj in zip(b, k)) for i, yi in enumerate(y)]
+
+
+def _assert_close_to_exact(floats, exact):
+    for value, ref in zip(floats, exact):
+        assert abs(Fraction(float(value)) - ref) <= Fraction(1e-12) * max(1, abs(ref))
+
+
+class TestStepsAgainstExactArithmetic:
+    """Float steps of ``integrate`` against the same scheme in exact rationals."""
+
+    @pytest.fixture(scope="class")
+    def entry(self):
+        entry = catalog_build("rigid-body-metriplectic-algebroid")
+        assert not all(p.is_zero for p in entry.system.rhs)
+        return entry
+
+    def test_rk4_steps(self, entry):
+        cfg = IntegratorConfig(method="rk4_fixed", t_end=0.05, step=1e-2)
+        traj = integrate(entry.system, entry.x0, cfg)
+        assert traj.ok
+        h = Fraction(float(traj.times[1]))
+        half = Fraction(1, 2)
+        a = [[], [half], [0, half], [0, 0, 1]]
+        b = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 3), Fraction(1, 6)]
+        for row in (0, len(traj.times) - 2):
+            y = [Fraction(float(v)) for v in traj.states[row]]
+            _assert_close_to_exact(traj.states[row + 1], _exact_rk_step(entry.system, y, h, a, b))
+
+    def test_first_accepted_dp54_step(self, entry):
+        cfg = IntegratorConfig(method="rk45_adaptive", t_end=1.0, step=0.1)
+        traj = integrate(entry.system, entry.x0, cfg)
+        assert traj.ok and traj.accepted >= 2
+        h = Fraction(float(traj.times[1]))
+        y0 = [Fraction(v) for v in entry.x0]
+        _assert_close_to_exact(traj.states[1], _exact_rk_step(entry.system, y0, h, DP_A, DP_B))
 
 
 # -- observables --------------------------------------------------------------------
