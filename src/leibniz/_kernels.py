@@ -1,14 +1,15 @@
 """Numeric integration kernels.
 
-One numpy implementation of each integration loop: fixed-step RK4
-(``rk4``) and adaptive Dormand-Prince 5(4) (``dp54``).  Right-hand sides
-arrive as flat polynomial tables: ``coeffs[t]`` and integer exponent rows
-``expts[t, :]`` for term ``t``, with component ``i`` owning the slice
-``offsets[i]:offsets[i + 1]``.
+One scalar-Python implementation of each integration loop: fixed-step RK4
+(``rk4``) and adaptive Dormand-Prince 5(4) (``dp54``).  The right-hand side
+arrives as a function ``f(y) -> sequence of floats`` (the generated
+evaluator of ``poly.float_evaluator``), and the initial state as a list.  The
+DP5(4) tableau is defined once (``_DP_A``, ``_DP_E``) and ``dp54`` reads its
+entries from there; stage sums are plain left-to-right sums (no BLAS).
 
 Each kernel returns ``(times, states, accepted, rejected, status)``, where
-``times`` and ``states`` are array-likes of the rows reached so far.  Status
-codes:
+``times`` and ``states`` are flat ``array('d')`` buffers of the rows reached
+so far (``states`` row-major, one row per entry of ``times``).  Status codes:
     0  completed
     1  max_steps exhausted before reaching t_end
     2  non-finite state encountered (blow-up)
@@ -18,8 +19,7 @@ codes:
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from array import array
 
 STATUS_OK = 0
 STATUS_MAX_STEPS = 1
@@ -60,57 +60,41 @@ def use_numba() -> bool:
     return False
 
 
-def eval_rhs_numpy(coeffs, expts, offsets, y):
-    """Evaluate all rhs components at one state, vectorized over terms."""
-    if coeffs.shape[0] == 0:
-        return np.zeros(offsets.shape[0] - 1)
-    terms = coeffs * np.prod(y[np.newaxis, :] ** expts, axis=1)
-    d = offsets.shape[0] - 1
-    out = np.empty(d)
-    for i in range(d):
-        out[i] = terms[offsets[i] : offsets[i + 1]].sum()
-    return out
-
-
-def rk4(coeffs, expts, offsets, y0, t_end, n_steps):
-    d = y0.shape[0]
+def rk4(f, y, t_end, n_steps):
     h = t_end / n_steps
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, d))
-    times[0] = 0.0
-    states[0] = y0
-    y = y0.copy()
+    half = 0.5 * h
+    sixth = h / 6.0
+    times = array("d", (0.0,))
+    states = array("d", y)
     for step in range(n_steps):
-        k1 = eval_rhs_numpy(coeffs, expts, offsets, y)
-        k2 = eval_rhs_numpy(coeffs, expts, offsets, y + 0.5 * h * k1)
-        k3 = eval_rhs_numpy(coeffs, expts, offsets, y + 0.5 * h * k2)
-        k4 = eval_rhs_numpy(coeffs, expts, offsets, y + h * k3)
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y_new)):
+        k1 = f(y)
+        k2 = f([yi + half * a for yi, a in zip(y, k1)])
+        k3 = f([yi + half * a for yi, a in zip(y, k2)])
+        k4 = f([yi + h * a for yi, a in zip(y, k3)])
+        y_new = [yi + sixth * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, y_new)):
             # abort, keeping the last finite state
-            return times[: step + 1], states[: step + 1], step, 0, STATUS_NONFINITE
+            return times, states, step, 0, STATUS_NONFINITE
         y = y_new
-        times[step + 1] = (step + 1) * h
-        states[step + 1] = y
+        times.append((step + 1) * h)
+        states.extend(y)
     return times, states, n_steps, 0, STATUS_OK
 
 
-def dp54(coeffs, expts, offsets, y0, t_end, h_init, abs_tol, rel_tol, max_steps):
-    # Accepted rows are appended as they come, so memory grows with the
-    # output and not with max_steps; integrate() turns the lists into arrays.
-    d = y0.shape[0]
+def dp54(f, y, t_end, h_init, abs_tol, rel_tol, max_steps):
+    # the tableau's entries by their Butcher indices
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6, b = _DP_A
+    a61, a62, a63, a64, a65 = a6
+    b1, b2, b3, b4, b5, b6 = b
+    e1, e2, e3, e4, e5, e6, e7 = _DP_E
     t = 0.0
-    y = y0.copy()
-    times = [t]
-    states = [y]
+    times = array("d", (t,))
+    states = array("d", y)
     h = min(h_init, t_end)
     accepted = 0
     rejected = 0
-    a = [np.array(row) for row in _DP_A]
-    e = np.array(_DP_E)
-    k = np.empty((7, d))
-    k[0] = eval_rhs_numpy(coeffs, expts, offsets, y)
-    if not np.all(np.isfinite(k[0])):
+    k1 = f(y)
+    if not all(map(math.isfinite, k1)):
         return times, states, accepted, rejected, STATUS_NONFINITE
     steps = 0
     while t < t_end:
@@ -120,23 +104,36 @@ def dp54(coeffs, expts, offsets, y0, t_end, h_init, abs_tol, rel_tol, max_steps)
         if h < 1e-14 * max(1.0, abs(t)):
             return times, states, accepted, rejected, STATUS_UNDERFLOW
         h = min(h, t_end - t)
-        for s in range(1, 7):
-            ys = y + h * (a[s - 1][np.newaxis, :] @ k[:s]).ravel()
-            k[s] = eval_rhs_numpy(coeffs, expts, offsets, ys)
-        y5 = ys  # stage 7 state uses the 5th-order weights (row 6 of A)
-        err_vec = h * (e @ k)
-        finite = np.all(np.isfinite(y5)) and np.all(np.isfinite(err_vec))
-        if finite:
-            scale = abs_tol + rel_tol * np.abs(y5)
-            err = float(np.max(np.abs(err_vec) / scale))
-        else:
-            err = math.inf
+        k2 = f([yi + h * (a21 * p) for yi, p in zip(y, k1)])
+        k3 = f([yi + h * (a31 * p + a32 * q) for yi, p, q in zip(y, k1, k2)])
+        k4 = f([yi + h * (a41 * p + a42 * q + a43 * r) for yi, p, q, r in zip(y, k1, k2, k3)])
+        k5 = f([
+            yi + h * (a51 * p + a52 * q + a53 * r + a54 * u)
+            for yi, p, q, r, u in zip(y, k1, k2, k3, k4)
+        ])
+        k6 = f([
+            yi + h * (a61 * p + a62 * q + a63 * r + a64 * u + a65 * v)
+            for yi, p, q, r, u, v in zip(y, k1, k2, k3, k4, k5)
+        ])
+        y5 = [
+            yi + h * (b1 * p + b2 * q + b3 * r + b4 * u + b5 * v + b6 * w)
+            for yi, p, q, r, u, v, w in zip(y, k1, k2, k3, k4, k5, k6)
+        ]
+        k7 = f(y5)
+        # scaled error estimate; a non-finite state or estimate rejects the step
+        ratios = [
+            abs(h * (e1 * p + e2 * q + e3 * r + e4 * u + e5 * v + e6 * w + e7 * z))
+            / (abs_tol + rel_tol * abs(yi))
+            for yi, p, q, r, u, v, w, z in zip(y5, k1, k2, k3, k4, k5, k6, k7)
+        ]
+        finite = all(map(math.isfinite, y5)) and all(map(math.isfinite, ratios))
+        err = max(ratios) if finite else math.inf
         if err <= 1.0:
             t = t + h
             y = y5
-            k[0] = k[6]  # first-same-as-last
+            k1 = k7  # first-same-as-last
             times.append(t)
-            states.append(y)
+            states.extend(y)
             accepted += 1
             factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-0.2)
         else:

@@ -353,13 +353,18 @@ class DualChartTensor:
                         )
         return True, ""
 
-    @property
-    def is_linear(self) -> bool:
-        return self.certify_linear()[0]
-
 
 def lambda_from_structure(A: AlgebroidStructure) -> DualChartTensor:
     """Assemble the fiberwise-linear tensor encoding the structure."""
+    result = _assemble_dual_tensor(A)
+    ok, reason = result.certify_linear()
+    if not ok:
+        raise CertificationError(f"assembled tensor is not fiberwise linear: {reason}")
+    return result
+
+
+def _assemble_dual_tensor(A: AlgebroidStructure) -> DualChartTensor:
+    """The dual-chart tensor of ``A``, not certified: callers run ``certify_linear``."""
     chart = A.dual_chart
     n, m = A.n, A.m
     zero = Poly.zero(chart)
@@ -375,11 +380,7 @@ def lambda_from_structure(A: AlgebroidStructure) -> DualChartTensor:
                 chart,
                 (embed(A.C[a][b][d], chart) * xi[d] for d in range(m) if not A.C[a][b][d].is_zero),
             )
-    result = DualChartTensor(TensorField2(chart, entries), n, m)
-    ok, reason = result.certify_linear()
-    if not ok:
-        raise CertificationError(f"assembled tensor is not fiberwise linear: {reason}")
-    return result
+    return DualChartTensor(TensorField2(chart, entries), n, m)
 
 
 def _fiber_linear_decompose(p: Poly, n: int, m: int) -> list[Poly]:
@@ -483,21 +484,10 @@ def theorem1_check(
     """
     if f.chart != A.base_chart:
         raise ChartMismatchError("f must be a base-chart function")
-    return _theorem1_residuals(A, lambda_from_structure(A).tensor, s1, s2, f)
-
-
-def _theorem1_residuals(
-    A: AlgebroidStructure, T: TensorField2, s1: Section, s2: Section, f: Poly
-) -> StructureTensorCertificate:
-    """``theorem1_check`` against an already assembled dual-chart tensor ``T``."""
-    chart = A.dual_chart
+    T = lambda_from_structure(A).tensor
     l1 = lift_section(A, s1)
-    l2 = lift_section(A, s2)
-    f_lift = embed(f, chart)
-
-    r_bracket = T.apply(l1, l2) - lift_section(A, section_bracket(A, s1, s2))
-    r_left = T.apply(l1, f_lift) - embed(_anchor_derivative(A, 1, s1, f), chart)
-    r_right = T.apply(f_lift, l1) + embed(_anchor_derivative(A, 2, s1, f), chart)
+    r_bracket = _bracket_lift_residual(A, T, s1, s2, l1, lift_section(A, s2))
+    r_left, r_right = _anchor_residuals(A, T, s1, l1, f)
     return StructureTensorCertificate(
         IdentityCertificate("bracket-lift", r_bracket.is_zero, r_bracket),
         IdentityCertificate("left-anchor", r_left.is_zero, r_left),
@@ -508,6 +498,24 @@ def _theorem1_residuals(
             note="checked as T(df~, d lift s) = -(rho2(s) f)~",
         ),
     )
+
+
+def _bracket_lift_residual(
+    A: AlgebroidStructure, T: TensorField2, s1: Section, s2: Section, l1: Poly, l2: Poly
+) -> Poly:
+    """T(d l1, d l2) - lift[s1, s2], where ``l1``, ``l2`` are the lifts of ``s1``, ``s2``."""
+    return T.apply(l1, l2) - lift_section(A, section_bracket(A, s1, s2))
+
+
+def _anchor_residuals(
+    A: AlgebroidStructure, T: TensorField2, s: Section, lift: Poly, f: Poly
+) -> tuple[Poly, Poly]:
+    """Left- and right-anchor residuals of ``s`` (lifted: ``lift``) on the base function ``f``."""
+    chart = A.dual_chart
+    f_lift = embed(f, chart)
+    r_left = T.apply(lift, f_lift) - embed(_anchor_derivative(A, 1, s, f), chart)
+    r_right = T.apply(f_lift, lift) + embed(_anchor_derivative(A, 2, s, f), chart)
+    return r_left, r_right
 
 
 def classify_algebroid(A: AlgebroidStructure) -> str:

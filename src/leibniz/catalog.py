@@ -29,8 +29,10 @@ from .algebroid import (
     DualChartTensor,
     PolyFraction,
     Prop4DualTensor,
-    _theorem1_residuals,
-    lambda_from_structure,
+    _anchor_residuals,
+    _assemble_dual_tensor,
+    _bracket_lift_residual,
+    lift_section,
     prop4_construct_dual_tensor,
     structure_to_json,
     Section,
@@ -837,22 +839,29 @@ def structure_certifications(A: AlgebroidStructure) -> list[CheckResult]:
     """Structure-level certifications for any fiber-linear structure:
     fiberwise linearity of the assembled tensor and the lift/anchor
     compatibility identities over all basis-section pairs."""
-    return _structure_checks(A, lambda_from_structure(A))
+    return _structure_checks(A, _assemble_dual_tensor(A))
 
 
 def _structure_checks(A: AlgebroidStructure, L: DualChartTensor) -> list[CheckResult]:
-    """``structure_certifications`` against the assembled tensor ``L`` of ``A``."""
+    """``structure_certifications`` against the assembled, uncertified tensor ``L`` of ``A``."""
     ok_linear, reason = L.certify_linear()
-    results = [CheckResult("fiberwise-linearity", ok_linear, detail=reason if not ok_linear else "")]
+    results = [CheckResult("fiberwise-linearity", ok_linear, detail=reason)]
+    if not ok_linear:
+        skipped = "not checked: the assembled tensor is not fiberwise linear"
+        return results + [CheckResult("structure-tensor-compatibility", False, detail=skipped)]
     base = A.base_chart
     f = Poly.var(base, base.names[0]) * Poly.var(base, base.names[1])
     sections = [Section.basis(base, A.m, i) for i in range(A.m)]
-    ok_theorem = True
-    for s1 in sections:
-        for s2 in sections:
-            cert = _theorem1_residuals(A, L.tensor, s1, s2, f)
-            ok_theorem = ok_theorem and cert.passed
-    results.append(CheckResult("structure-tensor-compatibility", ok_theorem))
+    lifts = [lift_section(A, s) for s in sections]
+    ok_anchors = all(
+        r.is_zero for s, l in zip(sections, lifts) for r in _anchor_residuals(A, L.tensor, s, l, f)
+    )
+    ok_brackets = all(
+        _bracket_lift_residual(A, L.tensor, s1, s2, l1, l2).is_zero
+        for s1, l1 in zip(sections, lifts)
+        for s2, l2 in zip(sections, lifts)
+    )
+    results.append(CheckResult("structure-tensor-compatibility", ok_anchors and ok_brackets))
     return results
 
 
@@ -876,7 +885,7 @@ def entry_certifications(entry: CatalogEntry) -> list[CheckResult]:
         results.extend(structure_certifications(entry.structure))
     elif entry.kind == "metriplectic_algebroid":
         A1, L2 = entry.structure
-        L1 = lambda_from_structure(A1)
+        L1 = _assemble_dual_tensor(A1)
         results.extend(_structure_checks(A1, L1))
         h1 = entry.hamiltonians["h1"]
         h2 = entry.hamiltonians["h2"]

@@ -2,10 +2,11 @@
 
 This module turns the symbolic structures (bracket tensors, metriplectic
 pairs, fiber-linear structures on a dual chart) into explicit polynomial
-right-hand sides, compiles them to flat coefficient/exponent tables, and
-integrates them with either a fixed-step RK4 scheme or an adaptive
-Dormand-Prince 5(4) scheme.  The stepping loops live in ``_kernels``, one
-numpy implementation per method.
+right-hand sides, compiles each system once into a generated straight-line
+float evaluator (``poly.float_evaluator``), and integrates it with either a
+fixed-step RK4 scheme or an adaptive Dormand-Prince 5(4) scheme.  The
+stepping loops live in ``_kernels``, one scalar-Python implementation per
+method.
 
 Observables are tracked symbolically first: ``lie_derivative`` computes the
 exact polynomial derivative of an observable along the flow, so tests can
@@ -16,11 +17,11 @@ symbolic statement before measuring numerical drift.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .brackets import (
     almost_leibniz_vf,
     hamiltonian_vf,
 )
-from .poly import Chart, ChartMismatchError, Poly, _poly_sum, embed
+from .poly import Chart, ChartMismatchError, Poly, _poly_sum, embed, float_evaluator
 
 __all__ = [
     "OdeSystem",
@@ -45,7 +46,6 @@ __all__ = [
     "rhs_from_pair",
     "rhs_from_algebroid",
     "rhs_metriplectic_algebroid",
-    "compile_rhs",
     "integrate",
     "lie_derivative",
     "observe",
@@ -86,6 +86,14 @@ class OdeSystem:
     @property
     def dim(self) -> int:
         return len(self.chart.names)
+
+    @functools.cached_property
+    def _evaluator(self):
+        return float_evaluator(self.rhs)
+
+    def __getstate__(self) -> dict:
+        # the cached evaluator is generated code: rebuilt on demand, never pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_evaluator"}
 
 
 def rhs_from_bracket(tensor: TensorField2, h: Poly, provenance: str = "bracket") -> OdeSystem:
@@ -165,41 +173,6 @@ def rhs_metriplectic_algebroid(
     return OdeSystem(chart, total, provenance)
 
 
-# -- compilation -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompiledRhs:
-    """Flat term tables: component i owns coeffs[offsets[i]:offsets[i+1]]."""
-
-    coeffs: np.ndarray  # float64 (n_terms,)
-    expts: np.ndarray  # int64 (n_terms, dim)
-    offsets: np.ndarray  # int64 (dim + 1,)
-
-
-def compile_rhs(system: OdeSystem) -> CompiledRhs:
-    """Flatten the rhs polynomials into kernel-ready coefficient tables."""
-    coeffs: list[float] = []
-    rows: list[tuple[int, ...]] = []
-    offsets = [0]
-    for comp in system.rhs:
-        for expt, coeff in comp.terms():
-            coeffs.append(float(coeff))
-            rows.append(expt)
-        offsets.append(len(coeffs))
-    dim = system.dim
-    expts = (
-        np.array(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, dim), dtype=np.int64)
-    )
-    return CompiledRhs(
-        coeffs=np.array(coeffs, dtype=np.float64),
-        expts=expts,
-        offsets=np.array(offsets, dtype=np.int64),
-    )
-
-
 # -- integration -------------------------------------------------------------------
 
 
@@ -264,39 +237,22 @@ def integrate(system: OdeSystem, x0: Sequence[float], config: IntegratorConfig) 
         raise ValueError(f"initial state must have shape ({system.dim},), got {y0.shape}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
-    tables = compile_rhs(system)
+    f = system._evaluator
     if config.method == "rk4_fixed":
         n_steps = math.ceil(config.t_end / config.step)
         if n_steps > config.max_steps:
             raise ValueError(
                 f"rk4_fixed needs {n_steps} steps which exceeds max_steps={config.max_steps}"
             )
-        kernel = _kernels.rk4
-        args = (tables.coeffs, tables.expts, tables.offsets, y0, config.t_end, n_steps)
+        result = _kernels.rk4(f, y0.tolist(), config.t_end, n_steps)
     else:
-        kernel = _kernels.dp54
-        args = (
-            tables.coeffs,
-            tables.expts,
-            tables.offsets,
-            y0,
-            config.t_end,
-            config.step,
-            config.abs_tol,
-            config.rel_tol,
-            config.max_steps,
+        result = _kernels.dp54(
+            f, y0.tolist(), config.t_end, config.step, config.abs_tol, config.rel_tol, config.max_steps
         )
-    # A blow-up overflows inside the rhs evaluation; the kernel reports it as
-    # STATUS_NONFINITE, so numpy's floating-point warnings are redundant here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        times, states, accepted, rejected, status = kernel(*args)
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        accepted=int(accepted),
-        rejected=int(rejected),
-        status=int(status),
-    )
+    times, states, accepted, rejected, status = result
+    # zero-copy views of the kernel's flat buffers
+    states = np.frombuffer(states).reshape(len(times), system.dim)
+    return Trajectory(np.frombuffer(times), states, accepted, rejected, status)
 
 
 # -- observation -------------------------------------------------------------------

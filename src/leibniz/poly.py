@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -381,6 +381,32 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"
+
+
+def float_evaluator(polys: Sequence[Poly]) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """Compile ``polys`` (at least one, all on one chart) into ``f(y) -> tuple of floats``.
+
+    The generated straight-line code repeats :meth:`Poly.evaluate` exactly
+    (graded-lex terms, ``float(coeff)`` times each variable once per unit of
+    exponent, left to right, summed from ``0.0``), so ``f(y)`` equals
+    ``[p.evaluate(y) for p in polys]`` bit for bit.  One statement per term
+    keeps huge polynomials within the compiler's recursion limit; the state is
+    unpacked by position, so chart names never enter the source; only ``+``
+    and ``*`` appear, so ``y`` may also hold numpy columns.
+    """
+    chart = polys[0].chart
+    if any(p.chart != chart for p in polys):
+        raise ChartMismatchError("the polynomials live on different charts")
+    lines = ["def f(y):", f"    {''.join(f'y{j}, ' for j in range(chart.dim))}= y"]
+    for i, p in enumerate(polys):
+        lines.append(f"    r{i} = 0.0")
+        for exponent, coeff in p.terms():
+            factors = [repr(float(coeff))] + [f"y{j}" for j, e in enumerate(exponent) for _ in range(e)]
+            lines.append(f"    r{i} += {' * '.join(factors)}")
+    lines.append(f"    return ({''.join(f'r{i}, ' for i in range(len(polys)))})")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<float_evaluator>", "exec"), namespace)
+    return namespace["f"]
 
 
 def embed(p: Poly, chart: Chart) -> Poly:

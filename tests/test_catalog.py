@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from leibniz.algebroid import AlgebroidStructure, structure_from_json
+from leibniz import catalog
+from leibniz.algebroid import AlgebroidStructure, DualChartTensor, structure_from_json
+from leibniz.brackets import TensorField2
 from leibniz.catalog import (
     ENTRY_NAMES,
     CatalogEntry,
@@ -231,6 +233,25 @@ class TestCertifications:
         assert "xi1" in defect.detail
         partner = by_name["annihilation:second-structure:first-generator"]
         assert partner.passed
+
+    @pytest.mark.parametrize("name", ["maxwell-bloch-algebroid", "rigid-body-metriplectic-algebroid"])
+    def test_nonlinear_tensor_is_a_failed_check(self, name, monkeypatch):
+        assemble = catalog._assemble_dual_tensor
+
+        def nonlinear(A):
+            L = assemble(A)
+            n, chart = L.n, L.tensor.chart
+            entries = [list(row) for row in L.tensor.entries]
+            entries[n][n + 1] = parse_poly(chart, "xi1*xi2")
+            return DualChartTensor(TensorField2(chart, entries), L.n, L.m)
+
+        monkeypatch.setattr(catalog, "_assemble_dual_tensor", nonlinear)
+        by_name = {c.name: c for c in entry_certifications(catalog_build(name))}
+        linearity = by_name["fiberwise-linearity"]
+        assert not linearity.passed and not linearity.whitelisted
+        assert "fiber degree 1" in linearity.detail
+        compatibility = by_name["structure-tensor-compatibility"]
+        assert not compatibility.passed and "not fiberwise linear" in compatibility.detail
 
 
 class TestWhitelist:

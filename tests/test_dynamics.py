@@ -1,7 +1,11 @@
 """Tests for ODE assembly, integration kernels, and observable tracking."""
 
+import itertools
 import math
+import pickle
 import random
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +25,6 @@ from leibniz.dynamics import (
     IntegratorConfig,
     OdeSystem,
     Trajectory,
-    compile_rhs,
     integrate,
     lie_derivative,
     observe,
@@ -33,7 +36,7 @@ from leibniz.dynamics import (
     trajectory_to_csv,
     trajectory_to_json,
 )
-from leibniz.poly import Chart, ChartMismatchError, Poly, parse_poly, restrict
+from leibniz.poly import Chart, ChartMismatchError, Poly, float_evaluator, parse_poly, restrict
 
 X3 = Chart(base=("x1", "x2", "x3"))
 X1 = Chart(base=("x1",))
@@ -210,46 +213,75 @@ class TestRhsBuilders:
             OdeSystem(X3, (Poly.zero(X3), Poly.zero(X3), Poly.zero(X1)))
 
 
-# -- compilation --------------------------------------------------------------------
+# -- float evaluation ---------------------------------------------------------------
 
 
-class TestCompiledTables:
-    def test_tables_match_symbolic_evaluation(self):
-        rng = random.Random(7)
-        sys = dissipative_top_system()
-        tables = compile_rhs(sys)
-        for _ in range(20):
-            y = np.array([rng.uniform(-2, 2) for _ in range(3)])
-            fast = _kernels.eval_rhs_numpy(tables.coeffs, tables.expts, tables.offsets, y)
-            slow = np.array([p.evaluate(y) for p in sys.rhs])
-            assert np.allclose(fast, slow, rtol=1e-13, atol=1e-13)
+class TestFloatEvaluator:
+    """The generated evaluator against ``Poly.evaluate`` and exact evaluation."""
 
-    def test_empty_system_tables(self):
-        sys = OdeSystem(X1, (Poly.zero(X1),))
-        tables = compile_rhs(sys)
-        assert tables.coeffs.shape == (0,)
-        assert tables.expts.shape == (0, 1)
-        out = _kernels.eval_rhs_numpy(tables.coeffs, tables.expts, tables.offsets, np.array([2.0]))
-        assert out.tolist() == [0.0]
-
-    @given(st.lists(st.integers(-3, 3), min_size=3, max_size=3), st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_compiled_evaluation_property(self, point, data):
-        coeffs = data.draw(
-            st.lists(st.fractions(min_value=-3, max_value=3), min_size=1, max_size=4)
-        )
-        terms = {}
-        for k, c in enumerate(coeffs):
-            expt = data.draw(
-                st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_evaluate_bitwise_and_exact(self, data):
+        polys = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            terms = data.draw(
+                st.dictionaries(
+                    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=50),
+                    max_size=6,
+                )
             )
-            terms[expt] = terms.get(expt, Fraction(0)) + c
-        p = Poly(X3, {e: c for e, c in terms.items() if c})
-        sys = OdeSystem(X3, (p, Poly.zero(X3), Poly.zero(X3)))
-        tables = compile_rhs(sys)
-        y = np.array(point, dtype=float)
-        fast = _kernels.eval_rhs_numpy(tables.coeffs, tables.expts, tables.offsets, y)
-        assert math.isclose(fast[0], p.evaluate(y), rel_tol=1e-12, abs_tol=1e-9)
+            polys.append(Poly(X3, terms))
+        point = data.draw(st.lists(st.floats(-3, 3), min_size=3, max_size=3))
+        values = float_evaluator(polys)(point)
+        assert len(values) == len(polys)
+        for value, p in zip(values, polys):
+            assert type(value) is float
+            assert struct.pack("<d", value) == struct.pack("<d", p.evaluate(point))
+            exact = p.evaluate_exact([Fraction(v) for v in point])
+            # relative to the size of the terms, which cancellation can exceed |exact| by far
+            size = Poly(X3, {e: abs(c) for e, c in p.terms()}).evaluate_exact(
+                [abs(Fraction(v)) for v in point]
+            )
+            assert abs(Fraction(value) - exact) <= Fraction(1e-12) * max(1, size)
+
+    def test_zero_and_constant_components(self):
+        polys = [Poly.zero(X3), Poly.const(X3, Fraction(5, 2)), parse_poly(X3, "-x2 + 1/3")]
+        assert float_evaluator(polys)([7.0, 2.0, -1.0]) == (0.0, 2.5, -2.0 + 1 / 3)
+        with pytest.raises(ChartMismatchError):
+            float_evaluator([Poly.zero(X3), Poly.zero(X1)])
+
+    def test_large_polynomial_compiles(self):
+        # one term per exponent in {0..4}^6: a single expression for this many
+        # terms would exceed the compiler's recursion limit
+        chart = Chart.standard(6)
+        terms = {
+            e: Fraction(k % 7 - 3 or 5, k % 5 + 1)
+            for k, e in enumerate(itertools.product(range(5), repeat=6))
+        }
+        p = Poly(chart, terms)
+        assert len(terms) == 15_625
+        point = [0.9, 1.05, -0.95, 1.1, 0.8, -1.02]
+        (value,) = float_evaluator([p])(point)
+        assert struct.pack("<d", value) == struct.pack("<d", p.evaluate(point))
+
+    def test_keyword_chart_names(self):
+        chart = Chart(base=("if", "lambda"))
+        p = Poly(chart, {(1, 1): Fraction(2), (0, 2): Fraction(-1)})
+        assert float_evaluator([p, p.diff("if")])([3.0, 0.5]) == (2.75, 1.0)
+
+    def test_system_pickles_after_integrate(self):
+        sys = dissipative_top_system()
+        before = (pickle.dumps(sys), repr(sys), hash(sys))
+        cfg = IntegratorConfig(method="rk4_fixed", t_end=0.1, step=1e-2)
+        assert integrate(sys, [1.0, 0.5, 0.2], cfg).ok
+        assert "_evaluator" in vars(sys)  # the cached evaluator is in place
+        assert (pickle.dumps(sys), repr(sys), hash(sys)) == before
+        copy = pickle.loads(before[0])
+        assert copy == sys and hash(copy) == hash(sys)
+        assert np.array_equal(
+            integrate(copy, [1.0, 0.5, 0.2], cfg).states, integrate(sys, [1.0, 0.5, 0.2], cfg).states
+        )
 
 
 # -- integration --------------------------------------------------------------------
@@ -364,6 +396,22 @@ class TestIntegrate:
         traj = integrate(spin_system(), [1.0, 0.5, 0.2], cfg)
         assert traj.ok
         assert traj.states.shape == (traj.accepted + 1, 3)
+
+    def test_adaptive_rows_cost_little_more_than_their_floats(self):
+        entry = catalog_build("revised-rigid-body")
+        cfg = IntegratorConfig(method="rk45_adaptive", t_end=200.0, abs_tol=1e-12, rel_tol=1e-12)
+        # the first call builds and caches the evaluator, a one-time cost per
+        # system; the measured call then allocates only for its rows
+        integrate(entry.system, entry.x0, IntegratorConfig(t_end=1e-3))
+        tracemalloc.start()
+        try:
+            traj = integrate(entry.system, entry.x0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = len(traj.times)
+        assert traj.ok and traj.states.shape == (rows, 3) and rows > 500
+        assert peak <= 80 * rows  # the output itself is 32 bytes per row
 
     def test_determinism_bitwise(self):
         for method in ("rk4_fixed", "rk45_adaptive"):
