@@ -60,10 +60,6 @@ class TensorField2:
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
 
-    def transpose(self) -> "TensorField2":
-        d = self.chart.dim
-        return TensorField2(self.chart, [[self.entries[j][i] for j in range(d)] for i in range(d)])
-
     def __add__(self, other: "TensorField2") -> "TensorField2":
         if not isinstance(other, TensorField2):
             return NotImplemented

@@ -3,7 +3,10 @@
 Exit codes are a stable contract for CI use: 0 success, 1 verification or
 integration failure, or a reader that closed stdout early (``leibniz verify
 --all | head``; no traceback is printed), 2 usage error (bad flags, unknown
-names, inadmissible parameters, invalid projections).  All outputs are
+names, inadmissible parameters, invalid projections, a file that cannot be
+read or written, a structure whose exact algebra exceeds the degree cap or
+needs a non-polynomial quotient).  Every error is one ``error: ...`` line on
+stderr.  All outputs are
 deterministic for fixed flags: CSV/JSON byte-identical across reruns, SVG
 likewise.
 """
@@ -39,6 +42,7 @@ from .dynamics import (
     trajectory_to_csv,
     trajectory_to_json,
 )
+from .poly import DegreeCapError, ExactDivisionError
 from .svgplot import PROJECTIONS, PlotSpec, ProjectionError, render_svg
 
 __all__ = ["main", "build_parser"]
@@ -362,7 +366,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # KeyError subclasses repr their message; unwrap for readability
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError, DegreeCapError, ExactDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

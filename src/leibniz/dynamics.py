@@ -11,14 +11,15 @@ method.
 Observables are tracked symbolically first: ``lie_derivative`` computes the
 exact polynomial derivative of an observable along the flow, so tests can
 gate "this quantity should be conserved / dissipated" claims on an exact
-symbolic statement before measuring numerical drift.
+symbolic statement before measuring numerical drift.  ``observe`` then
+evaluates all observables of a call with the same generated evaluator, once,
+on the trajectory's state columns; the system caches that evaluator and the
+exact verdicts for the last observable set it saw.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -91,9 +92,23 @@ class OdeSystem:
     def _evaluator(self):
         return float_evaluator(self.rhs)
 
+    def _observer(self, observables: tuple[Poly, ...]):
+        """Compiled evaluator of ``observables`` and their exact zero-derivative verdicts.
+
+        One slot: only the last observable set is kept, since every caller
+        observes a given system with one set.
+        """
+        slot = self.__dict__.get("_observer_slot")
+        if slot is None or slot[0] != observables:
+            verdicts = tuple(lie_derivative(self, f).is_zero for f in observables)
+            slot = (observables, float_evaluator(observables), verdicts)
+            self.__dict__["_observer_slot"] = slot
+        return slot[1], slot[2]
+
     def __getstate__(self) -> dict:
-        # the cached evaluator is generated code: rebuilt on demand, never pickled
-        return {k: v for k, v in self.__dict__.items() if k != "_evaluator"}
+        # the caches hold generated code: rebuilt on demand, never pickled
+        caches = ("_evaluator", "_observer_slot")
+        return {k: v for k, v in self.__dict__.items() if k not in caches}
 
 
 def rhs_from_bracket(tensor: TensorField2, h: Poly, provenance: str = "bracket") -> OdeSystem:
@@ -239,12 +254,12 @@ def integrate(system: OdeSystem, x0: Sequence[float], config: IntegratorConfig) 
         raise ValueError("initial state must be finite")
     f = system._evaluator
     if config.method == "rk4_fixed":
-        n_steps = math.ceil(config.t_end / config.step)
-        if n_steps > config.max_steps:
+        steps = config.t_end / config.step  # may overflow to inf
+        if steps > config.max_steps:  # same test as ceil(steps) > max_steps
             raise ValueError(
-                f"rk4_fixed needs {n_steps} steps which exceeds max_steps={config.max_steps}"
+                f"rk4_fixed needs {steps:.3g} steps which exceeds max_steps={config.max_steps}"
             )
-        result = _kernels.rk4(f, y0.tolist(), config.t_end, n_steps)
+        result = _kernels.rk4(f, y0.tolist(), config.t_end, math.ceil(steps))
     else:
         result = _kernels.dp54(
             f, y0.tolist(), config.t_end, config.step, config.abs_tol, config.rel_tol, config.max_steps
@@ -315,22 +330,34 @@ def observe(
     observables: Mapping[str, Poly],
     tol: float = MONOTONE_TOL,
 ) -> ObservationReport:
-    """Sample observables along a trajectory and summarize their behavior."""
-    reports = []
+    """Sample observables along a trajectory and summarize their behavior.
+
+    The values are bit for bit those of ``Poly.evaluate`` per row; overflow
+    gives ``inf`` and ``nan`` without a warning.
+    """
     for name, f in observables.items():
         if f.chart != system.chart:
             raise ChartMismatchError(f"observable {name!r} lives on a different chart")
-        values = np.array([f.evaluate(row) for row in trajectory.states])
-        drift = float(np.max(np.abs(values - values[0]))) if values.size else 0.0
-        reports.append(
-            ObservableReport(
-                name=name,
-                values=values,
-                drift=drift,
-                monotonicity=_monotonicity(values, tol),
-                symbolically_constant=lie_derivative(system, f).is_zero,
+    if not observables:
+        return ObservationReport()
+    evaluator, verdicts = system._observer(tuple(observables.values()))
+    rows = len(trajectory.states)
+    reports = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = evaluator(tuple(trajectory.states.T))
+        for name, values, constant in zip(observables, columns, verdicts):
+            if isinstance(values, float):  # a constant observable
+                values = np.full(rows, values)
+            drift = float(np.max(np.abs(values - values[0]))) if values.size else 0.0
+            reports.append(
+                ObservableReport(
+                    name=name,
+                    values=values,
+                    drift=drift,
+                    monotonicity=_monotonicity(values, tol),
+                    symbolically_constant=constant,
+                )
             )
-        )
     return ObservationReport(tuple(reports))
 
 
@@ -338,13 +365,15 @@ def observe(
 
 
 def trajectory_to_csv(system: OdeSystem, trajectory: Trajectory) -> str:
-    """CSV text with header ``t,<coordinate names...>`` and %.17g values."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", *system.chart.names])
-    for t, row in zip(trajectory.times, trajectory.states):
-        writer.writerow(["%.17g" % t, *("%.17g" % v for v in row)])
-    return buf.getvalue()
+    """CSV text with header ``t,<coordinate names...>`` and %.17g values.
+
+    Chart names are plain identifiers and %.17g never prints a comma, so no
+    field needs quoting.
+    """
+    header = ",".join(("t", *system.chart.names)) + "\n"
+    row = ",".join(["%.17g"] * (system.dim + 1)) + "\n"
+    table = np.column_stack([trajectory.times, trajectory.states]).tolist()
+    return header + "".join([row % tuple(r) for r in table])
 
 
 def trajectory_to_json(

@@ -317,6 +317,21 @@ class TestGoldenOutput:
         assert main(["export", entry, "-o", str(out)]) == 0
         assert out.read_bytes() == (DATA / f"{entry}-structure.json").read_bytes()
 
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "entry, flags, golden",
+        [
+            ("rigid-body-metriplectic-algebroid", [], "simulate-rigid-body-metriplectic-algebroid"),
+            ("gradient-beltrami", ["--symbolic"], "simulate-gradient-beltrami-symbolic"),
+        ],
+    )
+    def test_simulate(self, tmp_path, capsys, entry, flags, golden, suffix):
+        # trajectory rows, observable values and their drift and monotonicity
+        out = tmp_path / f"orbit.{suffix}"
+        argv = ["simulate", entry, *flags, "--method", "rk4", "--step", "1e-3", "--t-end", "0.05"]
+        assert main([*argv, "-o", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{golden}-rk4.{suffix}").read_bytes()
+
 
 class TestPlotSpec:
     def test_projection_axes_known(self):
@@ -377,3 +392,49 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 2
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(leibniz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "leibniz.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+class TestOneLineErrors:
+    """Failures that once ended in a traceback give one ``error:`` line and exit 2."""
+
+    def _assert_one_line_error(self, proc, fragment):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: ")
+        assert fragment in proc.stderr
+
+    def test_output_into_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        proc = _run_cli("simulate", "revised-rigid-body", "--t-end", "1", "-o", str(out))
+        self._assert_one_line_error(proc, "No such file or directory")
+        assert proc.stdout == ""
+
+    def test_structure_over_degree_cap(self, tmp_path):
+        doc = json.loads((DATA / "rigid-body-algebroid-structure.json").read_text())
+        doc["rho1"][0][0] = "x3^16"
+        doc["C"][0][0][0] = "x1^16"
+        path = tmp_path / "over-cap.json"
+        path.write_text(json.dumps(doc))
+        proc = _run_cli("verify", str(path))
+        self._assert_one_line_error(proc, "exceeds cap")
+
+    @pytest.mark.parametrize("step", ["1", "1e-300"])
+    def test_step_count_in_scientific_notation(self, step):
+        # 1e300 steps printed in full ran to 301 digits; 1e300/1e-300 overflows to inf
+        argv = ["simulate", "revised-rigid-body", "--method", "rk4", "--step", step, "--t-end", "1e300"]
+        proc = _run_cli(*argv)
+        self._assert_one_line_error(proc, "max_steps=200000")
+        assert len(proc.stderr) < 100

@@ -6,6 +6,7 @@ import pickle
 import random
 import struct
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibniz import _kernels
+from leibniz import _kernels, dynamics
 from leibniz.algebroid import (
     AlgebroidStructure,
     lambda_from_structure,
@@ -216,22 +217,24 @@ class TestRhsBuilders:
 # -- float evaluation ---------------------------------------------------------------
 
 
+def _drawn_poly(data) -> Poly:
+    terms = data.draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=50),
+            max_size=6,
+        )
+    )
+    return Poly(X3, terms)
+
+
 class TestFloatEvaluator:
     """The generated evaluator against ``Poly.evaluate`` and exact evaluation."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_evaluate_bitwise_and_exact(self, data):
-        polys = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            terms = data.draw(
-                st.dictionaries(
-                    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
-                    st.fractions(min_value=-3, max_value=3, max_denominator=50),
-                    max_size=6,
-                )
-            )
-            polys.append(Poly(X3, terms))
+        polys = [_drawn_poly(data) for _ in range(data.draw(st.integers(1, 3)))]
         point = data.draw(st.lists(st.floats(-3, 3), min_size=3, max_size=3))
         values = float_evaluator(polys)(point)
         assert len(values) == len(polys)
@@ -567,6 +570,89 @@ class TestObservation:
         assert rep.names() == ("x",)
         with pytest.raises(KeyError):
             rep["missing"]
+
+
+def _trajectory(states) -> Trajectory:
+    states = np.array(states, dtype=np.float64)
+    return Trajectory(np.arange(len(states), dtype=np.float64), states, len(states) - 1, 0, 0)
+
+
+class TestObserveColumns:
+    """``observe`` evaluates on state columns through the cached generated evaluator."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_values_bitwise_equal_to_per_row_evaluate(self, data):
+        observables = {f"p{k}": _drawn_poly(data) for k in range(data.draw(st.integers(1, 3)))}
+        observables["zero"] = Poly.zero(X3)
+        observables["const"] = Poly.const(X3, Fraction(-7, 3))
+        rows = data.draw(st.integers(1, 6))  # a single row included
+        states = data.draw(
+            st.lists(st.lists(st.floats(-3, 3), min_size=3, max_size=3), min_size=rows, max_size=rows)
+        )
+        traj = _trajectory(states)
+        report = observe(spin_system(), traj, observables)
+        assert report.names() == tuple(observables)
+        for name, f in observables.items():
+            values = report[name].values
+            expected = np.array([f.evaluate(row) for row in traj.states])
+            assert values.dtype == np.float64 and values.shape == (rows,)
+            assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+    def test_empty_observables_give_empty_report(self):
+        report = observe(spin_system(), _trajectory([[1.0, 2.0, 3.0]]), {})
+        assert report.reports == () and report.names() == ()
+
+    def test_constant_values_are_fresh_arrays(self):
+        traj = _trajectory([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        report = observe(spin_system(), traj, {"a": Poly.const(X3, 2), "b": Poly.const(X3, 2)})
+        a, b = report["a"].values, report["b"].values
+        assert a.tolist() == b.tolist() == [2.0, 2.0]
+        a[0] = 0.0
+        assert b[0] == 2.0
+
+    def test_overflow_and_non_finite_rows_warn_nothing(self):
+        entry = catalog_build("revised-rigid-body")
+        chart = entry.system.chart
+        observables = {**entry.observables, "difference": parse_poly(chart, "x1^2 - x2^2")}
+        inf, nan = math.inf, math.nan
+        states = [[1.0, 2.0, 3.0], [1e200, 1e200, 1e200], [inf, 1.0, 1.0], [nan, 1.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = observe(entry.system, _trajectory(states), observables)
+        for name, f in observables.items():
+            expected = [f.evaluate(row) for row in states]  # Python floats
+            np.testing.assert_array_equal(report[name].values, expected)
+        # x1^2 - x2^2 at 1e200 is inf - inf
+        assert math.isnan(report["difference"].values[1])
+        assert math.isinf(report["half-norm"].values[1])
+
+    def test_compiles_once_per_observable_set(self, monkeypatch):
+        sys = dissipative_top_system()
+        before = (pickle.dumps(sys), repr(sys), hash(sys))
+        traj = integrate(sys, [1.0, 0.5, 0.2], IntegratorConfig(method="rk4_fixed", t_end=0.1, step=1e-2))
+        compiled, derived = [], []
+        real_compile, real_derive = dynamics.float_evaluator, dynamics.lie_derivative
+        monkeypatch.setattr(
+            dynamics, "float_evaluator", lambda polys: compiled.append(polys) or real_compile(polys)
+        )
+        monkeypatch.setattr(
+            dynamics, "lie_derivative", lambda s, f: derived.append(f) or real_derive(s, f)
+        )
+        norm = parse_poly(X3, "1/2*x1^2 + 1/2*x2^2 + 1/2*x3^2")
+        first = {"half-norm": norm, "x1": parse_poly(X3, "x1")}
+        second = {"half-norm": norm}
+        observe(sys, traj, first)
+        report = observe(sys, traj, first)
+        assert len(compiled) == 1 and len(derived) == 2
+        assert report["half-norm"].symbolically_constant is False
+        observe(sys, traj, second)  # a new set replaces the one slot
+        assert len(compiled) == 2
+        observe(sys, traj, first)
+        assert len(compiled) == 3 and len(derived) == 5
+        assert "_observer_slot" in vars(sys)
+        assert (pickle.dumps(sys), repr(sys), hash(sys)) == before
+        assert pickle.loads(before[0]) == sys
 
 
 # -- export -------------------------------------------------------------------------
