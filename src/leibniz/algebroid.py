@@ -614,17 +614,27 @@ class Prop4DualTensor:
         )
 
     def annihilation_residuals(self, h: Poly, slot: str = "first") -> dict[str, PolyFraction]:
-        """Bracket of h against every coordinate, h in the given slot."""
+        """Bracket of h against every coordinate, h in the given slot.
+
+        As in :func:`~leibniz.brackets.annihilator_residuals`, ``[h, x_k]``
+        is column k contracted with ``grad(h)`` and ``[x_k, h]`` is row k.
+        """
         if slot not in ("first", "second"):
             raise ValueError("slot must be 'first' or 'second'")
-        out = {}
-        for name in self.dual_chart.names:
-            coord = Poly.var(self.dual_chart, name)
-            if slot == "first":
-                out[name] = self.bracket_fraction(h, coord)
-            else:
-                out[name] = self.bracket_fraction(coord, h)
-        return out
+        chart = self.dual_chart
+        dh = [h.diff(name) for name in chart.names]
+        first = slot == "first"
+        return {
+            name: _fraction_sum(
+                chart,
+                (
+                    (self.entry(mu, k) if first else self.entry(k, mu), dhm)
+                    for mu, dhm in enumerate(dh)
+                    if not dhm.is_zero
+                ),
+            )
+            for k, name in enumerate(chart.names)
+        }
 
     def annihilates(self, h: Poly, slot: str = "first") -> bool:
         return all(r.is_zero for r in self.annihilation_residuals(h, slot).values())
@@ -642,15 +652,7 @@ class Prop4DualTensor:
 
         Raises ExactDivisionError if a component is not polynomial for this h.
         """
-        chart = self.dual_chart
-        dh = [h.diff(name) for name in chart.names]
-        return tuple(
-            _fraction_sum(
-                chart,
-                ((self.entry(mu, nu), dhn) for nu, dhn in enumerate(dh) if not dhn.is_zero),
-            ).to_poly()
-            for mu in range(self.n + self.m)
-        )
+        return tuple(r.to_poly() for r in self.annihilation_residuals(h, "second").values())
 
 
 def prop4_construct_dual_tensor(h1: Poly) -> Prop4DualTensor:
@@ -738,13 +740,19 @@ def structure_from_dict(data: dict) -> AlgebroidStructure:
         C = data["C"]
         rho1 = data["rho1"]
         rho2 = data["rho2"]
-    except (KeyError, TypeError, ValueError) as exc:
+        # checked before Chart.standard(n), so a bare n cannot size the chart
+        if len(rho1) != n:
+            raise ValueError(f"rho1 has {len(rho1)} rows, n is {n}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed structure data: {exc}") from None
     base = Chart.standard(n)
     parse = lambda s: parse_poly(base, str(s))
-    C_p = [[[parse(s) for s in e] for e in row] for row in C]
-    rho1_p = [[parse(s) for s in row] for row in rho1]
-    rho2_p = [[parse(s) for s in row] for row in rho2]
+    try:
+        C_p = [[[parse(s) for s in e] for e in row] for row in C]
+        rho1_p = [[parse(s) for s in row] for row in rho1]
+        rho2_p = [[parse(s) for s in row] for row in rho2]
+    except TypeError as exc:  # a number where a list belongs
+        raise ValueError(f"malformed structure data: {exc}") from None
     return AlgebroidStructure(base, m, C_p, rho1_p, rho2_p)
 
 

@@ -181,19 +181,19 @@ class MetriplecticPair:
         return self.P.chart
 
 
+def _contract(chart: Chart, lines, dh: Sequence[Poly]) -> tuple[Poly, ...]:
+    """Each line (a row or column of a tensor) contracted with the gradient ``dh``."""
+    return tuple(
+        _poly_sum(chart, (b * d for b, d in zip(line, dh) if not (b.is_zero or d.is_zero)))
+        for line in lines
+    )
+
+
 def hamiltonian_vf(tensor: TensorField2, h: Poly) -> VectorFieldPoly:
     """Vector field with component_i = [coordinate_i, h]."""
     if h.chart != tensor.chart:
         raise ChartMismatchError("Hamiltonian must share the tensor's chart")
-    dh = grad(h)
-    comps = tuple(
-        _poly_sum(
-            tensor.chart,
-            (b * d for b, d in zip(row, dh) if not (b.is_zero or d.is_zero)),
-        )
-        for row in tensor.entries
-    )
-    return VectorFieldPoly(tensor.chart, comps)
+    return VectorFieldPoly(tensor.chart, _contract(tensor.chart, tensor.entries, grad(h)))
 
 
 def almost_leibniz_vf(pair: MetriplecticPair, h1: Poly, h2: Poly) -> VectorFieldPoly:
@@ -299,17 +299,18 @@ def symmetry_classify(tensor: TensorField2) -> str:
 
 
 def annihilator_residuals(tensor: TensorField2, h: Poly, slot: str = "first") -> dict[str, Poly]:
-    """Bracket of h against every chart coordinate, h in the given slot."""
+    """Bracket of h against every chart coordinate, h in the given slot.
+
+    A coordinate's gradient is a unit vector, so ``[h, x_k]`` is column k of
+    the tensor contracted with ``grad(h)`` and ``[x_k, h]`` is row k: one
+    gradient serves every coordinate.
+    """
     if slot not in ("first", "second"):
         raise ValueError("slot must be 'first' or 'second'")
-    out: dict[str, Poly] = {}
-    for name in tensor.chart.names:
-        coord = Poly.var(tensor.chart, name)
-        if slot == "first":
-            out[name] = tensor.apply(h, coord)
-        else:
-            out[name] = tensor.apply(coord, h)
-    return out
+    if h.chart != tensor.chart:
+        raise ChartMismatchError("bracket arguments must share the tensor's chart")
+    lines = zip(*tensor.entries) if slot == "first" else tensor.entries
+    return dict(zip(tensor.chart.names, _contract(tensor.chart, lines, grad(h))))
 
 
 def annihilator_check(tensor: TensorField2, h: Poly, slot: str = "first") -> bool:

@@ -18,6 +18,7 @@ systems remain integrable (parameters ride along as constants).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,6 +122,8 @@ def _as_fraction_tuple(value, count: int, label: str) -> tuple[Fraction, ...]:
         items = tuple(Fraction(v) for v in value)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{label} must be a sequence of {count} rationals") from exc
+    except ZeroDivisionError as exc:
+        raise ParameterError(f"{label} has a component with a zero denominator") from exc
     if len(items) != count:
         raise ParameterError(f"{label} needs exactly {count} components, got {len(items)}")
     return items
@@ -146,9 +149,12 @@ def _a_params(params: Mapping, symbolic: bool) -> tuple[Fraction, ...]:
     return a
 
 
-def _check_no_params(params: Mapping, name: str) -> None:
-    if params:
-        raise ParameterError(f"entry {name!r} takes no parameters, got {sorted(params)}")
+def _check_params(params: Mapping, allowed: Sequence[str], name: str) -> None:
+    """Refuse parameters that entry ``name`` does not take (its keys: ``allowed``)."""
+    unexpected = sorted(set(params) - set(allowed))
+    if unexpected:
+        takes = f"takes only {', '.join(allowed)}" if allowed else "takes no parameters"
+        raise ParameterError(f"entry {name!r} {takes}, got {unexpected}")
 
 
 # -- shared construction pieces -----------------------------------------------------
@@ -266,6 +272,7 @@ def _vw_polys(chart: Chart, a: Sequence[Poly]) -> tuple[list[Poly], list[Poly]]:
 
 
 def _build_gradient_beltrami(params: Mapping, symbolic: bool) -> CatalogEntry:
+    _check_params(params, ("gamma", "s"), "gradient-beltrami")
     gamma, s = _gamma_params(params)
     if symbolic:
         chart = Chart(base=("x1", "x2", "x3", "g1", "g2", "g3"))
@@ -304,6 +311,7 @@ def _build_gradient_beltrami(params: Mapping, symbolic: bool) -> CatalogEntry:
 
 
 def _build_revised_rigid_body(params: Mapping, symbolic: bool) -> CatalogEntry:
+    _check_params(params, ("a",), "revised-rigid-body")
     a_vals = _a_params(params, symbolic)
     chart = Chart(base=("x1", "x2", "x3", "a1", "a2", "a3")) if symbolic else _X3
     a = _param_polys(chart, ("a1", "a2", "a3"), a_vals, symbolic)
@@ -332,7 +340,7 @@ def _build_revised_rigid_body(params: Mapping, symbolic: bool) -> CatalogEntry:
 
 
 def _build_almost_leibniz_ex2(params: Mapping, symbolic: bool) -> CatalogEntry:
-    _check_no_params(params, "almost-leibniz-ex2")
+    _check_params(params, (), "almost-leibniz-ex2")
     chart = _X3
     P = TensorField2.from_strings(chart, [["0", "1", "0"], ["-1", "0", "x1"], ["0", "-x1", "0"]])
     g = TensorField2.from_strings(
@@ -364,7 +372,7 @@ def _build_almost_leibniz_ex2(params: Mapping, symbolic: bool) -> CatalogEntry:
 
 
 def _build_almost_leibniz_ex3(params: Mapping, symbolic: bool) -> CatalogEntry:
-    _check_no_params(params, "almost-leibniz-ex3")
+    _check_params(params, (), "almost-leibniz-ex3")
     chart = _X3
     P = TensorField2.from_strings(chart, [["0", "-x3", "x2"], ["x3", "0", "0"], ["-x2", "0", "0"]])
     g = TensorField2.from_strings(chart, [["-x3", "0", "0"], ["0", "0", "0"], ["0", "0", "-x1"]])
@@ -394,7 +402,7 @@ def _build_almost_leibniz_ex3(params: Mapping, symbolic: bool) -> CatalogEntry:
 
 
 def _build_maxwell_bloch(params: Mapping, symbolic: bool) -> CatalogEntry:
-    _check_no_params(params, "maxwell-bloch-algebroid")
+    _check_params(params, (), "maxwell-bloch-algebroid")
     chart = _X3
     z = "0"
     C = [[[z] * 3 for _ in range(3)] for _ in range(3)]
@@ -486,6 +494,7 @@ def _reference_52(dual: Chart, a: Sequence[Poly]) -> list[Poly]:
 
 
 def _build_rigid_body_algebroid(params: Mapping, symbolic: bool) -> CatalogEntry:
+    _check_params(params, ("a",), "rigid-body-algebroid")
     a_vals, a_base, a_dual, A, dual, h1 = _rigid_algebroid_pieces(params, symbolic)
     system = rhs_from_algebroid(A, h1, "rigid-body-algebroid")
     z = Poly.zero(dual)
@@ -513,6 +522,7 @@ def _build_rigid_body_algebroid(params: Mapping, symbolic: bool) -> CatalogEntry
 
 
 def _build_rigid_body_metriplectic(params: Mapping, symbolic: bool) -> CatalogEntry:
+    _check_params(params, ("a",), "rigid-body-metriplectic-algebroid")
     a_vals, a_base, a_dual, A1, dual, h1 = _rigid_algebroid_pieces(params, symbolic)
     h2 = parse_poly(dual, "x1*xi1 + x2*xi2 + x3*xi3")
     L2 = prop4_construct_dual_tensor(h1)
@@ -718,34 +728,48 @@ class VerifyReport:
         }
 
 
-def known_misprints() -> list[dict[str, str]]:
-    """Records of documented derived-vs-reference discrepancies."""
+@functools.cache
+def _misprint_records() -> tuple[dict[str, str], ...]:
+    """The misprint data file, parsed once per process; callers must not mutate it."""
     text = resources.files("leibniz.data").joinpath("known_misprints.json").read_text()
-    doc = json.loads(text)
-    return list(doc["known_misprints"])
+    return tuple(json.loads(text)["known_misprints"])
+
+
+def known_misprints() -> list[dict[str, str]]:
+    """Records of documented derived-vs-reference discrepancies (fresh copies)."""
+    return [dict(record) for record in _misprint_records()]
 
 
 def _whitelist_lookup(entry: str, check: str) -> dict[str, tuple[str, str]]:
     """component -> (residual text, note) for one entry+check pair."""
     out = {}
-    for record in known_misprints():
+    for record in _misprint_records():
         if record["entry"] == entry and record["check"] == check:
             out[record["component"]] = (record["residual"], record["note"])
     return out
 
 
 def catalog_verify(
-    name: str, params: Mapping | None = None, symbolic: bool = False
+    entry: str | CatalogEntry, params: Mapping | None = None, symbolic: bool = False
 ) -> VerifyReport:
     """Diff the derived flow against the transcribed reference, component-wise.
 
+    ``entry`` is an entry name, built here with ``params`` and ``symbolic``,
+    or an entry already built by :func:`catalog_build`, which carries its own
+    (combining it with ``params`` or ``symbolic`` raises ``TypeError``).
     A nonzero residual is marked whitelisted when the misprint data file
     records exactly that residual for that component (parameter-free
     records apply to symbolic builds as well).  For the combined
     antisymmetric+symmetric entry the report also carries the cross-check
-    that its base flow equals the damped-top entry's flow.
+    that its base flow equals the damped-top entry's flow, built
+    independently from the entry's parameters.
     """
-    entry = catalog_build(name, params, symbolic)
+    if isinstance(entry, CatalogEntry):
+        if params is not None or symbolic:
+            raise TypeError("a built entry carries its own params and symbolic flag")
+    else:
+        entry = catalog_build(entry, params, symbolic)
+    name = entry.name
     wl = _whitelist_lookup(name, "reference-system")
     diffs = []
     for comp_name, derived, reference in zip(
@@ -771,7 +795,7 @@ def catalog_verify(
         )
     checks: list[CheckResult] = []
     if entry.kind == "metriplectic_algebroid":
-        damped = catalog_build("revised-rigid-body", params, symbolic)
+        damped = catalog_build("revised-rigid-body", entry.params, entry.symbolic)
         x_part = [restrict(p, damped.chart) for p in entry.system.rhs[: damped.chart.dim]]
         checks.append(
             CheckResult(
@@ -850,7 +874,8 @@ def _structure_checks(A: AlgebroidStructure, L: DualChartTensor) -> list[CheckRe
         skipped = "not checked: the assembled tensor is not fiberwise linear"
         return results + [CheckResult("structure-tensor-compatibility", False, detail=skipped)]
     base = A.base_chart
-    f = Poly.var(base, base.names[0]) * Poly.var(base, base.names[1])
+    # x1*x2, or x1^2 over a one-variable base
+    f = Poly.var(base, base.names[0]) * Poly.var(base, base.names[min(1, base.dim - 1)])
     sections = [Section.basis(base, A.m, i) for i in range(A.m)]
     lifts = [lift_section(A, s) for s in sections]
     ok_anchors = all(

@@ -3,9 +3,10 @@
 Exit codes are a stable contract for CI use: 0 success, 1 verification or
 integration failure, or a reader that closed stdout early (``leibniz verify
 --all | head``; no traceback is printed), 2 usage error (bad flags, unknown
-names, inadmissible parameters, invalid projections, a file that cannot be
-read or written, a structure whose exact algebra exceeds the degree cap or
-needs a non-polynomial quotient).  Every error is one ``error: ...`` line on
+names, inadmissible or unexpected parameters, invalid projections, a file that
+cannot be read or written or is malformed, state values that cannot be
+plotted, a structure whose exact algebra exceeds the degree cap or needs a
+non-polynomial quotient).  Every error is one ``error: ...`` line on
 stderr.  All outputs are
 deterministic for fixed flags: CSV/JSON byte-identical across reruns, SVG
 likewise.
@@ -192,7 +193,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def _verify_one(name: str, args: argparse.Namespace) -> tuple[bool, dict, list[str]]:
     entry = _build_entry(name, args)
-    report = catalog_verify(name, params=_collect_params(args), symbolic=args.symbolic)
+    report = catalog_verify(entry)
     certs = entry_certifications(entry)
     if args.strict:
         ok = report.clean and all(c.passed for c in certs)

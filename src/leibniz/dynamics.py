@@ -414,9 +414,14 @@ def trajectory_from_json(text: str) -> tuple[tuple[str, ...], Trajectory]:
         status = int(doc["status"])
         accepted = int(doc["accepted"])
         rejected = int(doc["rejected"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed trajectory document: {exc}") from exc
-    if states.ndim != 2 or states.shape[0] != times.shape[0] or states.shape[1] != len(names):
+    if (
+        times.ndim != 1
+        or states.ndim != 2
+        or states.shape[0] != times.shape[0]
+        or states.shape[1] != len(names)
+    ):
         raise ValueError("malformed trajectory document: inconsistent shapes")
     return names, Trajectory(
         times=times, states=states, accepted=accepted, rejected=rejected, status=status

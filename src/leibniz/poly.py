@@ -1,9 +1,13 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is stored as a map from exponent vectors to nonzero
-``fractions.Fraction`` coefficients.  The exponent vector is a tuple with one
-nonnegative integer per chart variable, so the zero polynomial is the empty
-map and equal polynomials always have identical storage (canonical form).
+A polynomial is stored as a map from exponent vectors to nonzero exact
+coefficients: an ``int`` when the value is integral, a ``fractions.Fraction``
+otherwise (never a ``bool``, never a ``Fraction`` with denominator 1).  The
+exponent vector is a tuple with one nonnegative integer per chart variable, so
+the zero polynomial is the empty map and equal polynomials always have
+identical storage (canonical form).  Integral coefficients thus stay in fast
+``int`` arithmetic; ``int`` and ``Fraction`` compare, hash and print alike, so
+equality, hashing and text output are those of all-``Fraction`` storage.
 Terms are ordered graded-lexicographically on the chart's variable order;
 printing, evaluation and iteration all follow that single order, which makes
 every operation deterministic.
@@ -118,13 +122,29 @@ def _glex_key(exponent: Exponent) -> tuple[int, Exponent]:
     return (sum(exponent), exponent)
 
 
-def _as_fraction(value) -> Fraction:
+def _canon(value: int | Fraction) -> int | Fraction:
+    """An exact value in canonical form: the ``int`` when it is integral."""
+    if value.__class__ is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _canon_values(terms: dict[Exponent, int | Fraction]) -> dict[Exponent, int | Fraction]:
+    """Put every value of ``terms`` in canonical form, in place; returns ``terms``."""
+    for exponent, coeff in terms.items():
+        if coeff.__class__ is Fraction and coeff.denominator == 1:
+            terms[exponent] = coeff.numerator
+    return terms
+
+
+def _as_fraction(value) -> int | Fraction:
+    """An int, Fraction or rational text as a canonical exact coefficient."""
     if isinstance(value, Fraction):
-        return value
+        return _canon(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)  # a bool becomes a plain int
     if isinstance(value, str):
-        return Fraction(value)
+        return _canon(Fraction(value))
     raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
 
 
@@ -133,8 +153,8 @@ class Poly:
 
     __slots__ = ("chart", "_terms")
 
-    def __init__(self, chart: Chart, terms: Mapping[Exponent, Fraction] | None = None):
-        cleaned: dict[Exponent, Fraction] = {}
+    def __init__(self, chart: Chart, terms: Mapping[Exponent, int | Fraction | str] | None = None):
+        cleaned: dict[Exponent, int | Fraction] = {}
         if terms:
             dim = chart.dim
             for exponent, coeff in terms.items():
@@ -152,12 +172,14 @@ class Poly:
         self._terms = cleaned
 
     @classmethod
-    def _trusted(cls, chart: Chart, terms: dict[Exponent, Fraction]) -> "Poly":
+    def _trusted(cls, chart: Chart, terms: dict[Exponent, int | Fraction]) -> "Poly":
         """Wrap ``terms`` as a Poly without validating or copying it.
 
         Invariant, guaranteed by the caller: every key is a tuple of
-        ``chart.dim`` nonnegative ints, every value is a nonzero ``Fraction``,
-        and no one else holds a reference to ``terms``.  Only code in this
+        ``chart.dim`` nonnegative ints, every value is nonzero and canonical
+        (an ``int`` when integral, else a ``Fraction``; never a ``bool``, never
+        a ``Fraction`` with denominator 1; see :func:`_canon`), and no one else
+        holds a reference to ``terms``.  Only code in this
         module that builds such a dict by construction (arithmetic on
         already-valid Polys) may call it; everything else, including the
         parser and structure files, goes through ``Poly(chart, terms)``.
@@ -182,7 +204,7 @@ class Poly:
     def var(cls, chart: Chart, name: str) -> "Poly":
         exponent = [0] * chart.dim
         exponent[chart.index(name)] = 1
-        return cls._trusted(chart, {tuple(exponent): Fraction(1)})
+        return cls._trusted(chart, {tuple(exponent): 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -190,7 +212,7 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Exponent, Fraction]]:
+    def terms(self) -> Iterator[tuple[Exponent, int | Fraction]]:
         """Terms in ascending graded-lex order (deterministic)."""
         for exponent in sorted(self._terms, key=_glex_key):
             yield exponent, self._terms[exponent]
@@ -208,13 +230,13 @@ class Poly:
         nb = self.chart.n_base
         return max(sum(e[nb:]) for e in self._terms)
 
-    def coefficient(self, exponent: Exponent) -> Fraction:
-        return self._terms.get(tuple(exponent), Fraction(0))
+    def coefficient(self, exponent: Exponent) -> int | Fraction:
+        return self._terms.get(tuple(exponent), 0)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.chart.dim, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self._terms.get((0,) * self.chart.dim, 0)
 
-    def leading_term(self) -> tuple[Exponent, Fraction]:
+    def leading_term(self) -> tuple[Exponent, int | Fraction]:
         """Graded-lex maximal term; raises on the zero polynomial."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
@@ -268,14 +290,14 @@ class Poly:
             factor = _as_fraction(other)
             if factor == 0:
                 return Poly.zero(self.chart)
-            return Poly._trusted(self.chart, {e: c * factor for e, c in self._terms.items()})
+            return Poly._trusted(self.chart, {e: _canon(c * factor) for e, c in self._terms.items()})
         self._check_chart(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.chart)
         degree = self.degree() + other.degree()
         if degree > _DEGREE_CAP:
             raise DegreeCapError(f"product degree {degree} exceeds cap {_DEGREE_CAP}")
-        result: dict[Exponent, Fraction] = {}
+        result: dict[Exponent, int | Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 exponent = tuple(map(add, e1, e2))
@@ -288,7 +310,7 @@ class Poly:
                         del result[exponent]
                 else:
                     result[exponent] = coeff
-        return Poly._trusted(self.chart, result)
+        return Poly._trusted(self.chart, _canon_values(result))
 
     __rmul__ = __mul__
 
@@ -315,13 +337,13 @@ class Poly:
     def diff(self, name: str) -> "Poly":
         """Exact partial derivative with respect to one chart variable."""
         idx = self.chart.index(name)
-        result: dict[Exponent, Fraction] = {}
+        result: dict[Exponent, int | Fraction] = {}
         for exponent, coeff in self._terms.items():
             e = exponent[idx]
             if e == 0:
                 continue
             # lowering one exponent is injective, so no two terms collide
-            result[exponent[:idx] + (e - 1,) + exponent[idx + 1 :]] = coeff * e
+            result[exponent[:idx] + (e - 1,) + exponent[idx + 1 :]] = _canon(coeff * e)
         return Poly._trusted(self.chart, result)
 
     def evaluate(self, point: Sequence[float]) -> float:
@@ -351,7 +373,7 @@ class Poly:
 
     # -- formatting --------------------------------------------------------
 
-    def _format_term(self, exponent: Exponent, coeff: Fraction) -> str:
+    def _format_term(self, exponent: Exponent, coeff: int | Fraction) -> str:
         factors = []
         for name, e in zip(self.chart.names, exponent):
             if e == 1:
@@ -420,7 +442,7 @@ def embed(p: Poly, chart: Chart) -> Poly:
         raise ChartMismatchError(f"target chart is missing variables {missing}")
     positions = [index[name] for name in names]
     dim = chart.dim
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[Exponent, int | Fraction] = {}
     for exponent, coeff in p._terms.items():
         lifted = [0] * dim
         for pos, e in zip(positions, exponent):
@@ -442,7 +464,7 @@ def restrict(p: Poly, chart: Chart) -> Poly:
         if name not in chart._index:
             positions.append((pos, name))
     keep = [p.chart.index(name) for name in chart.names]
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[Exponent, int | Fraction] = {}
     for exponent, coeff in p.terms():
         for pos, name in positions:
             if exponent[pos] != 0:
@@ -459,7 +481,7 @@ def _poly_sum(chart: Chart, polys: Iterable[Poly]) -> Poly:
     Use it for sums of many terms: ``acc = acc + p`` in a loop copies the
     accumulator once per term.  Coefficients that cancel are deleted at once.
     """
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[Exponent, int | Fraction] = {}
     for p in polys:
         if p.chart is not chart and p.chart != chart:
             raise ChartMismatchError(f"charts differ: {chart.names} vs {p.chart.names}")
@@ -470,7 +492,7 @@ def _poly_sum(chart: Chart, polys: Iterable[Poly]) -> Poly:
             if exponent in terms:
                 coeff += terms[exponent]
                 if coeff:
-                    terms[exponent] = coeff
+                    terms[exponent] = _canon(coeff)
                 else:
                     del terms[exponent]
             else:
@@ -490,7 +512,7 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
         raise ChartMismatchError("quotient operands on different charts")
     if d.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    quotient: dict[Exponent, Fraction] = {}
+    quotient: dict[Exponent, int | Fraction] = {}
     remainder = p
     d_exp, d_coeff = d.leading_term()
     while not remainder.is_zero:
@@ -500,7 +522,8 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
             raise ExactDivisionError(
                 f"{d} does not divide {p} (stuck at remainder term {r_exp})"
             )
-        factor = r_coeff / d_coeff
+        # never r_coeff / d_coeff: for two ints that is a float
+        factor = _canon(Fraction(r_coeff, d_coeff))
         # the remainder's leading term strictly decreases, so every step is new
         quotient[step] = factor
         remainder = remainder - Poly._trusted(p.chart, {step: factor}) * d
@@ -520,14 +543,17 @@ _RATIONAL_RE = re.compile(r"^(\d+)/(\d+)$")
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(\d+))?$")
 
 
-def _parse_coefficient(token: str) -> Fraction | None:
+def _parse_coefficient(token: str) -> int | Fraction | None:
     if _INT_RE.match(token):
-        return Fraction(int(token))
+        return int(token)
     if _DECIMAL_RE.match(token):
         return Fraction(token)  # exact: "0.6" -> 3/5
     m = _RATIONAL_RE.match(token)
     if m:
-        return Fraction(int(m.group(1)), int(m.group(2)))
+        numerator, denominator = int(m.group(1)), int(m.group(2))
+        if not denominator:
+            raise PolyParseError(f"zero denominator in {token!r}")
+        return Fraction(numerator, denominator)
     return None
 
 
@@ -559,7 +585,7 @@ def parse_poly(chart: Chart, text: str) -> Poly:
 
     monomials: list[Poly] = []
     for sign, term_text in pieces:
-        coeff = Fraction(sign)
+        coeff = sign
         exponent = [0] * chart.dim
         for factor in term_text.split("*"):
             factor = factor.strip()

@@ -124,16 +124,20 @@ def render_svg(
         raise ProjectionError("need at least two trajectory points to draw an orbit")
     names = tuple(names)
     idx = _column_indices(names, spec.projection)
-    u, v = _project(states, idx)
-
-    umin, umax = _padded_range(u)
-    vmin, vmax = _padded_range(v)
     inner_w = spec.width - 2 * spec.margin
     inner_h = spec.height - 2 * spec.margin
-    sx = inner_w / (umax - umin)
-    sy = inner_h / (vmax - vmin)
-    px = spec.margin + (u - umin) * sx
-    py = spec.height - spec.margin - (v - vmin) * sy
+    # non-finite values, or a range that overflows, end up as nan or inf in
+    # the screen coordinates and are refused there
+    with np.errstate(all="ignore"):
+        u, v = _project(states, idx)
+        umin, umax = _padded_range(u)
+        vmin, vmax = _padded_range(v)
+        sx = inner_w / (umax - umin)
+        sy = inner_h / (vmax - vmin)
+        px = spec.margin + (u - umin) * sx
+        py = spec.height - spec.margin - (v - vmin) * sy
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        raise ProjectionError("state values are not finite, or span too wide a range to plot")
     points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
 
     axes = projection_axes(spec.projection)

@@ -30,6 +30,7 @@ from leibniz.algebroid import (
     theorem1_check,
 )
 from leibniz.brackets import TensorField2, bracket_apply, hamiltonian_vf
+from leibniz.catalog import catalog_build
 from leibniz.poly import (
     Chart,
     ChartMismatchError,
@@ -487,3 +488,23 @@ def test_lift_intertwines_brackets(A, s1, s2):
     lhs = lift_section(A, section_bracket(A, s1, s2))
     rhs = bracket_apply(T, lift_section(A, s1), lift_section(A, s2))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_partner_annihilation_residuals_equal_the_general_bracket(symbolic):
+    # the catalog's partner tensor, contracted once per slot, against
+    # bracket_fraction with each coordinate
+    entry = catalog_build("rigid-body-metriplectic-algebroid", symbolic=symbolic)
+    _A1, L2 = entry.structure
+    chart = L2.dual_chart
+    for h in (entry.hamiltonians["h1"], entry.hamiltonians["h2"]):
+        for slot in ("first", "second"):
+            residuals = L2.annihilation_residuals(h, slot)
+            assert list(residuals) == list(chart.names)
+            for name, got in residuals.items():
+                coord = Poly.var(chart, name)
+                expected = L2.bracket_fraction(h, coord) if slot == "first" else L2.bracket_fraction(coord, h)
+                assert got == expected
+                assert str(got) == str(expected)
+    # h2 is not annihilated: the comparison is not only between zeros
+    assert not L2.annihilates(entry.hamiltonians["h2"], "first")

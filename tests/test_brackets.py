@@ -399,3 +399,21 @@ def test_antisymmetric_bracket_vanishes_on_diagonal(f):
 @given(small_tensors(), small_polys(), small_polys())
 def test_vf_chain_rule_property(B, f, h):
     assert hamiltonian_vf(B, h).apply_to(f) == bracket_apply(B, f, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tensors(), small_polys())
+def test_annihilator_residuals_equal_the_general_bracket(B, h):
+    # the contraction with grad(h) against one general bracket per coordinate
+    first = annihilator_residuals(B, h, "first")
+    second = annihilator_residuals(B, h, "second")
+    assert list(first) == list(second) == list(C3.names)
+    for name in C3.names:
+        coord = Poly.var(C3, name)
+        assert first[name] == B.apply(h, coord)
+        assert second[name] == B.apply(coord, h)
+
+
+def test_annihilator_residuals_chart_mismatch():
+    with pytest.raises(ChartMismatchError):
+        annihilator_residuals(tensor(EX2_P), Poly.var(Chart.standard(2), "x1"))

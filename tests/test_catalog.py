@@ -134,6 +134,34 @@ class TestParameters:
         assert rep.clean
 
 
+    @pytest.mark.parametrize(
+        "name, params, unexpected, takes",
+        [
+            ("gradient-beltrami", {"a": (3, 2, 1)}, ["a"], "takes only gamma, s"),
+            ("revised-rigid-body", {"foo": (1,)}, ["foo"], "takes only a,"),
+            ("rigid-body-algebroid", {"gamma": (1, 1, -2)}, ["gamma"], "takes only a,"),
+            (
+                "rigid-body-metriplectic-algebroid",
+                {"s": (1, 1, 1), "a": (3, 2, 1)},
+                ["s"],
+                "takes only a,",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_parameters_an_entry_does_not_take_are_refused(
+        self, name, params, unexpected, takes, symbolic
+    ):
+        # the error names the unexpected keys and the keys the entry takes
+        with pytest.raises(ParameterError, match=takes) as info:
+            catalog_build(name, params=params, symbolic=symbolic)
+        assert f"got {unexpected}" in str(info.value)
+
+    def test_zero_denominator_parameter(self):
+        with pytest.raises(ParameterError, match="zero denominator"):
+            catalog_build("revised-rigid-body", params={"a": ("1/0", "1", "1")})
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "name",
@@ -317,3 +345,51 @@ class TestStructureExport:
         entry = catalog_build("revised-rigid-body")
         with pytest.raises(ValueError):
             entry_structure_json(entry)
+
+
+class TestVerifyBuiltEntry:
+    """``catalog_verify`` on an entry that is already built."""
+
+    CASES = [(name, None, False) for name in ENTRY_NAMES] + [
+        ("gradient-beltrami", {"gamma": (Fraction(1, 2), 1, Fraction(-3, 2)), "s": (1, -1, 1)}, False),
+        ("revised-rigid-body", {"a": ("7/10", "1/2", "3/10")}, False),
+        ("rigid-body-algebroid", {"a": ("9/10", "1/4", "1/20")}, False),
+        ("rigid-body-metriplectic-algebroid", {"a": ("7/10", "1/2", "3/10")}, False),
+    ] + [(name, None, True) for name in ENTRY_NAMES]
+
+    @pytest.mark.parametrize("name, params, symbolic", CASES)
+    def test_same_report_as_by_name(self, name, params, symbolic):
+        entry = catalog_build(name, params, symbolic)
+        assert catalog_verify(entry).to_dict() == catalog_verify(name, params, symbolic).to_dict()
+
+    def test_entry_with_params_or_symbolic_is_refused(self):
+        entry = catalog_build("revised-rigid-body")
+        with pytest.raises(TypeError):
+            catalog_verify(entry, {"a": (3, 2, 1)})
+        with pytest.raises(TypeError):
+            catalog_verify(entry, symbolic=True)
+
+    def test_cross_check_builds_the_damped_top_with_the_entry_parameters(self, monkeypatch):
+        calls = []
+        build = catalog.catalog_build
+
+        def counting(name, params=None, symbolic=False):
+            calls.append((name, dict(params or {}), symbolic))
+            return build(name, params, symbolic)
+
+        entry = catalog_build("rigid-body-metriplectic-algebroid", {"a": ("7/10", "1/2", "3/10")})
+        monkeypatch.setattr(catalog, "catalog_build", counting)
+        report = catalog_verify(entry)
+        assert calls == [("revised-rigid-body", {"a": entry.params["a"]}, False)]
+        assert report.checks[0].name == "base-flow-equals-damped-top" and report.checks[0].passed
+
+
+class TestMisprintData:
+    def test_parsed_once_and_handed_out_as_fresh_copies(self, monkeypatch):
+        first = known_misprints()
+        first[0]["entry"] = "changed"
+        first.clear()
+        assert known_misprints()[0]["entry"] != "changed"
+        assert known_misprints() == known_misprints() and known_misprints() is not known_misprints()
+        monkeypatch.setattr(catalog, "resources", None)  # reading the file again would fail
+        assert catalog_verify("maxwell-bloch-algebroid").clean_modulo_known

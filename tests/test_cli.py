@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import leibniz
+from leibniz import catalog, cli
 from leibniz.catalog import ENTRY_NAMES, catalog_build
 from leibniz.cli import main
 from leibniz.dynamics import lie_derivative
@@ -276,6 +277,44 @@ class TestExport:
 DATA = Path(__file__).parent / "data"
 
 
+class TestVerifyBuildsOnce:
+    @pytest.mark.parametrize("name", ENTRY_NAMES)
+    def test_catalog_build_calls(self, name, monkeypatch, capsys):
+        # one build per verified entry; the metriplectic algebroid's cross-check
+        # builds the damped top on its own
+        calls = []
+        build = catalog.catalog_build
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "catalog_build", counting)
+        monkeypatch.setattr(cli, "catalog_build", counting)
+        assert main(["verify", name, "--json"]) == 0
+        json.loads(capsys.readouterr().out)
+        if name == "rigid-body-metriplectic-algebroid":
+            assert calls == [name, "revised-rigid-body"]
+        else:
+            assert calls == [name]
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "gradient-beltrami", "--a=3,2,1"],
+            ["verify", "revised-rigid-body", "--params", "foo=1"],
+            ["simulate", "rigid-body-algebroid", "--gamma=1,1,-2"],
+            ["verify", "almost-leibniz-ex2", "--a=3,2,1"],
+        ],
+    )
+    def test_parameters_an_entry_does_not_take(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: entry ") and err.count("\n") == 1
+
+
 class TestGoldenOutput:
     """Byte-for-byte pins of certificate and export output.
 
@@ -438,3 +477,73 @@ class TestOneLineErrors:
         proc = _run_cli(*argv)
         self._assert_one_line_error(proc, "max_steps=200000")
         assert len(proc.stderr) < 100
+
+    def test_zero_denominator_parameter(self):
+        proc = _run_cli("verify", "revised-rigid-body", "--a=1/0,1,1")
+        self._assert_one_line_error(proc, "zero denominator")
+
+    def test_zero_denominator_in_structure_file(self, tmp_path):
+        doc = json.loads((DATA / "maxwell-bloch-algebroid-structure.json").read_text())
+        doc["C"][0][1][2] = "1/0"
+        path = tmp_path / "zero-denominator.json"
+        path.write_text(json.dumps(doc))
+        proc = _run_cli("verify", str(path))
+        self._assert_one_line_error(proc, "zero denominator in '1/0'")
+
+    def test_malformed_structure_shape(self, tmp_path):
+        doc = json.loads((DATA / "maxwell-bloch-algebroid-structure.json").read_text())
+        doc["C"] = 5
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        proc = _run_cli("verify", str(path))
+        self._assert_one_line_error(proc, "malformed structure data")
+
+
+class TestReadersFoundByFuzzing:
+    """Inputs from ``tests/test_fuzz.py`` that once ended in a traceback."""
+
+    def test_one_variable_base_structure(self, tmp_path, capsys):
+        path = tmp_path / "n1.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "C": [[["x1"]]], "rho1": [["0"]], "rho2": [["0"]]}))
+        assert main(["verify", str(path), "--json"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["file"] == str(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "m": float("inf"), "C": [], "rho1": [[]], "rho2": [[]]},
+            # the chart is never built from n alone: this one would not fit in memory
+            {"n": 10**12, "m": 1, "C": [[["0"]]], "rho1": [["0"]], "rho2": [["0"]]},
+        ],
+    )
+    def test_malformed_structure_numbers(self, tmp_path, capsys, doc):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed structure data") and err.count("\n") == 1
+
+    def test_infinite_trajectory_status(self, tmp_path, capsys):
+        doc = {"chart": ["x1", "x2"], "times": [0, 1], "states": [[0, 1], [1, 2]], "status": float("inf"), "accepted": 1, "rejected": 0}
+        path = tmp_path / "orbit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plot", str(path), "-o", str(tmp_path / "orbit.svg")]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed trajectory document")
+
+    @pytest.mark.parametrize(
+        "states, times",
+        [
+            ([[0.0, 1.0], [float("inf"), 2.0]], [0.0, 1.0]),
+            ([[0.0, 1.0], [float("nan"), 2.0]], [0.0, 1.0]),
+            ([[1e308, 0.0], [-1e308, 1.0]], [0.0, 1.0]),  # the range overflows
+            ([[0.0, 1.0], [1.0, 2.0]], "0"),  # times is not a list
+        ],
+    )
+    def test_unplottable_trajectory_file(self, tmp_path, capsys, states, times):
+        doc = {"chart": ["x1", "x2"], "times": times, "states": states, "status": 0, "accepted": 1, "rejected": 0}
+        path = tmp_path / "orbit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plot", str(path), "-o", str(tmp_path / "orbit.svg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "orbit.svg").exists()

@@ -278,7 +278,8 @@ def _assert_clean(p):
     for exponent, coeff in p._terms.items():
         assert type(exponent) is tuple and len(exponent) == p.chart.dim
         assert all(type(e) is int and e >= 0 for e in exponent)
-        assert type(coeff) is Fraction and coeff != 0
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1)
+        assert coeff != 0
     assert p == Poly(p.chart, dict(p._terms))
 
 
@@ -350,3 +351,60 @@ def test_public_constructor_still_validates():
     with pytest.raises(TypeError, match="float"):
         Poly(C3, {(1, 0, 0): 0.5})
     assert Poly(C3, {(1, 0, 0): 0, (0, 1, 0): "3/4"})._terms == {(0, 1, 0): Fraction(3, 4)}
+
+
+# -- canonical exact coefficients ----------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_terms, _coeffs)
+def test_calculus_and_charts_keep_coefficients_canonical(a, c):
+    p = Poly(C3, a)
+    _assert_clean(p)
+    for name in C3.names:
+        _assert_clean(p.diff(name))
+    for component in grad(p):
+        _assert_clean(component)
+    wide = embed(p, _WIDE)
+    _assert_clean(wide)
+    _assert_clean(restrict(wide, C3))
+    _assert_clean(parse_poly(C3, str(p)))
+    _assert_clean(Poly.const(C3, c))
+    if not p.is_zero:
+        _assert_clean(divide_exact(p * (p + c), p))
+
+
+def test_integral_values_are_stored_as_int():
+    half = Poly.const(C3, Fraction(1, 2))
+    assert type(half.constant_term()) is Fraction
+    doubled = half * 2
+    assert doubled._terms == {(0, 0, 0): 1} and type(doubled.constant_term()) is int
+    assert type((half + half).constant_term()) is int
+    assert type(P("1/2*x1^2").diff("x1").coefficient((1, 0, 0))) is int
+    assert type(Poly.var(C3, "x2").coefficient((0, 1, 0))) is int
+    assert type(P("4/2*x1 + 6").coefficient((1, 0, 0))) is int
+    assert type(P("0.5*x1 + 2.0").constant_term()) is int
+    # a bool is an int to Python, but never a stored coefficient
+    for flag in (Poly.const(C3, True), Poly(C3, {(1, 0, 0): True}), P("x1") * True):
+        _assert_clean(flag)
+        assert all(type(c) is int for _, c in flag.terms())
+    assert Poly.const(C3, False).is_zero
+    # int and Fraction compare and hash alike, so the storage change is invisible
+    assert Poly.const(C3, 3) == Poly(C3, {(0, 0, 0): Fraction(3)})
+    assert hash(Poly.const(C3, 3)) == hash(Poly(C3, {(0, 0, 0): Fraction(6, 2)}))
+    assert str(P("6/3*x1 - 1/2")) == "2*x1 - 1/2"
+
+
+def test_exact_quotient_of_integer_polynomials_is_never_a_float():
+    q = divide_exact(P("x1 + 1"), P("2*x1 + 2"))
+    assert q._terms == {(0, 0, 0): Fraction(1, 2)}
+    _assert_clean(q)
+    q = divide_exact(P("6*x1^2 + 3*x1"), P("3*x1"))
+    assert q._terms == {(1, 0, 0): 2, (0, 0, 0): 1}
+    _assert_clean(q)
+
+
+def test_zero_denominator_is_a_parse_error():
+    with pytest.raises(PolyParseError, match="zero denominator"):
+        P("3/0*x1")
+    assert P("0/3*x1 + x2") == P("x2")
