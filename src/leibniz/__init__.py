@@ -14,7 +14,7 @@ Public surface, by module:
 - :mod:`leibniz.catalog` — built-in example systems with transcribed
   reference flows and exact verification reports;
 - :mod:`leibniz.cli` — the ``leibniz`` command (list / verify / simulate /
-  plot).
+  export / plot).
 """
 
 from .algebroid import (

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .brackets import IdentityCertificate, TensorField2
+from .brackets import IdentityCertificate, TensorField2, annihilator_residuals
 from .poly import (
     Chart,
     ChartMismatchError,
@@ -64,8 +64,10 @@ class CertificationError(ValueError):
 class PolyFraction:
     """Exact quotient of two polynomials on one chart.
 
-    No canonical form is maintained: equality is decided by exact
-    cross-multiplication, and conversion to Poly performs exact division.
+    No canonical form is maintained beyond two cheap normalisations: a zero
+    numerator gets the denominator 1, and so does a denominator that divides
+    the numerator exactly.  Equality is decided by exact cross-multiplication,
+    and conversion to Poly performs exact division.
     """
 
     __slots__ = ("num", "den")
@@ -77,13 +79,16 @@ class PolyFraction:
             raise ChartMismatchError("fraction parts on different charts")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        # cheap exact cancellation when the denominator divides out
-        if den.degree() == 0:
+        # a zero numerator, or a denominator that divides out exactly, leaves
+        # the denominator 1
+        if num.is_zero:
+            den = Poly.const(num.chart, 1)
+        elif den.degree() == 0:
             scale = den.constant_term()
             if scale != 1:
                 num = num * (Fraction(1) / scale)
                 den = Poly.const(num.chart, 1)
-        elif not num.is_zero:
+        else:
             try:
                 num = divide_exact(num, den)
                 den = Poly.const(num.chart, 1)
@@ -99,10 +104,6 @@ class PolyFraction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @classmethod
-    def zero(cls, chart: Chart) -> "PolyFraction":
-        return cls(Poly.zero(chart))
 
     def _coerce(self, other) -> "PolyFraction | None":
         if isinstance(other, PolyFraction):
@@ -134,12 +135,6 @@ class PolyFraction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "PolyFraction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "PolyFraction":
         other = self._coerce(other)
         if other is None:
@@ -170,23 +165,6 @@ class PolyFraction:
 
     def __repr__(self) -> str:
         return f"PolyFraction({str(self)!r})"
-
-
-def _fraction_sum(chart: Chart, products) -> PolyFraction:
-    """Sum of ``e * p`` over pairs of a PolyFraction ``e`` and a Poly ``p``.
-
-    Numerators over one shared denominator are summed in place, so each
-    distinct denominator costs one fraction addition instead of one per term.
-    """
-    groups: dict[Poly, list[Poly]] = {}
-    for e, p in products:
-        if not e.is_zero:
-            groups.setdefault(e.den, []).append(e.num * p)
-    acc = None
-    for den, nums in groups.items():
-        term = PolyFraction(_poly_sum(chart, nums), den)
-        acc = term if acc is None else acc + term
-    return PolyFraction.zero(chart) if acc is None else acc
 
 
 # -- structures ---------------------------------------------------------------
@@ -566,86 +544,59 @@ def fiber_linear_coefficients(h1: Poly) -> list[Poly]:
 class Prop4DualTensor:
     """Symmetric-bracket partner tensor built from a fiberwise-linear h1.
 
-    The fiber-fiber block is diagonal with exact-rational entries (stored as
-    PolyFraction, contracted against xi); the anchor blocks are polynomial:
-    the xi-x block carries +rho2 and the x-xi block carries +rho2 (i.e. the
-    right-anchor slot holds -rho2, making the assembled tensor symmetric).
-    By construction it annihilates h1 in either slot; construction fails
-    rather than return an uncertified tensor.
+    Only the diagonal of the fiber-fiber block is rational: ``c_diag`` holds
+    one PolyFraction per fiber index, contracted against xi.  Everything else
+    is the polynomial tensor ``anchors``, with +rho2 in both anchor blocks
+    (the right-anchor slot holds -rho2, making the tensor symmetric) and a
+    zero fiber-fiber block.  Brackets and residuals are ``anchors``
+    contracted by :mod:`~leibniz.brackets`, plus the diagonal terms.  By
+    construction the tensor annihilates h1 in either slot; construction
+    fails rather than return an uncertified tensor.
     """
 
-    __slots__ = ("dual_chart", "n", "m", "h1", "rho2", "c_diag")
+    __slots__ = ("dual_chart", "n", "m", "h1", "rho2", "c_diag", "anchors")
 
     def __init__(self, dual_chart: Chart, h1: Poly, rho2, c_diag):
         self.dual_chart = dual_chart
-        self.n = dual_chart.n_base
-        self.m = dual_chart.n_fiber
+        self.n = n = dual_chart.n_base
+        self.m = m = dual_chart.n_fiber
         self.h1 = h1
         self.rho2 = tuple(tuple(row) for row in rho2)  # n x m, base Polys
         self.c_diag = tuple(c_diag)  # m PolyFractions on the dual chart
-
-    # full matrix entry (mu, nu) as a PolyFraction, chart order (x.., xi..)
-    def entry(self, mu: int, nu: int) -> PolyFraction:
-        chart = self.dual_chart
-        n, m = self.n, self.m
-        if mu < n and nu < n:
-            return PolyFraction.zero(chart)
-        if mu < n <= nu:  # x row, xi column: -(-rho2) = +rho2
-            return PolyFraction(embed(self.rho2[mu][nu - n], chart))
-        if nu < n <= mu:  # xi row, x column: +rho2
-            return PolyFraction(embed(self.rho2[nu][mu - n], chart))
-        a, b = mu - n, nu - n
-        return self.c_diag[a] if a == b else PolyFraction.zero(chart)
+        rows = [[Poly.zero(dual_chart)] * (n + m) for _ in range(n + m)]
+        for i, row in enumerate(self.rho2):
+            for a, p in enumerate(row):
+                rows[i][n + a] = rows[n + a][i] = embed(p, dual_chart)
+        self.anchors = TensorField2(dual_chart, rows)
 
     def bracket_fraction(self, f: Poly, h: Poly) -> PolyFraction:
         """Exact [f, h] for this tensor, as a PolyFraction."""
-        chart = self.dual_chart
-        df = [f.diff(name) for name in chart.names]
-        dh = [h.diff(name) for name in chart.names]
-        return _fraction_sum(
-            chart,
-            (
-                (self.entry(mu, nu), dfm * dhn)
-                for mu, dfm in enumerate(df)
-                if not dfm.is_zero
-                for nu, dhn in enumerate(dh)
-                if not dhn.is_zero
-            ),
-        )
+        value = PolyFraction(self.anchors.apply(f, h))
+        for c, name in zip(self.c_diag, self.dual_chart.fiber):
+            df, dh = f.diff(name), h.diff(name)
+            if not (df.is_zero or dh.is_zero):
+                value = value + c * (df * dh)
+        return value
 
     def annihilation_residuals(self, h: Poly, slot: str = "first") -> dict[str, PolyFraction]:
         """Bracket of h against every coordinate, h in the given slot.
 
-        As in :func:`~leibniz.brackets.annihilator_residuals`, ``[h, x_k]``
-        is column k contracted with ``grad(h)`` and ``[x_k, h]`` is row k.
+        :func:`~leibniz.brackets.annihilator_residuals` of ``anchors``; the
+        diagonal adds ``c_diag[a] * dh/dxi_a`` at each ``xi_a``, in either slot.
         """
-        if slot not in ("first", "second"):
-            raise ValueError("slot must be 'first' or 'second'")
-        chart = self.dual_chart
-        dh = [h.diff(name) for name in chart.names]
-        first = slot == "first"
-        return {
-            name: _fraction_sum(
-                chart,
-                (
-                    (self.entry(mu, k) if first else self.entry(k, mu), dhm)
-                    for mu, dhm in enumerate(dh)
-                    if not dhm.is_zero
-                ),
-            )
-            for k, name in enumerate(chart.names)
-        }
+        residuals = annihilator_residuals(self.anchors, h, slot)
+        out = {name: PolyFraction(r) for name, r in residuals.items()}
+        for c, name in zip(self.c_diag, self.dual_chart.fiber):
+            dh = h.diff(name)
+            if not dh.is_zero:
+                out[name] = c * dh + residuals[name]
+        return out
 
     def annihilates(self, h: Poly, slot: str = "first") -> bool:
         return all(r.is_zero for r in self.annihilation_residuals(h, slot).values())
 
     def is_symmetric(self) -> bool:
-        d = self.n + self.m
-        return all(
-            self.entry(mu, nu) == self.entry(nu, mu)
-            for mu in range(d)
-            for nu in range(mu + 1, d)
-        )
+        return self.anchors.is_symmetric()
 
     def vf_contrib(self, h: Poly) -> tuple[Poly, ...]:
         """Row-contracted vector field [coordinate, h], one Poly per coordinate.

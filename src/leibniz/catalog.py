@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .algebroid import (
     AlgebroidStructure,
@@ -271,8 +271,7 @@ def _vw_polys(chart: Chart, a: Sequence[Poly]) -> tuple[list[Poly], list[Poly]]:
 # -- entry builders -----------------------------------------------------------------
 
 
-def _build_gradient_beltrami(params: Mapping, symbolic: bool) -> CatalogEntry:
-    _check_params(params, ("gamma", "s"), "gradient-beltrami")
+def _build_gradient_beltrami(params: Mapping, symbolic: bool) -> dict:
     gamma, s = _gamma_params(params)
     if symbolic:
         chart = Chart(base=("x1", "x2", "x3", "g1", "g2", "g3"))
@@ -294,10 +293,7 @@ def _build_gradient_beltrami(params: Mapping, symbolic: bool) -> CatalogEntry:
         Fraction(s[2]) * g_polys[2] * x1 * x2,
     ] + [z] * (d - 3)
     x0 = (1.0, 1.0, 1.0) + (tuple(float(v) for v in gamma) if symbolic else ())
-    return CatalogEntry(
-        name="gradient-beltrami",
-        kind="leibniz_bracket",
-        description="Gradient-like flow of a constant diagonal symmetric tensor with a cubic generator.",
+    return dict(
         system=system,
         reference_rhs=tuple(reference),
         hamiltonians={"h": h},
@@ -310,8 +306,7 @@ def _build_gradient_beltrami(params: Mapping, symbolic: bool) -> CatalogEntry:
     )
 
 
-def _build_revised_rigid_body(params: Mapping, symbolic: bool) -> CatalogEntry:
-    _check_params(params, ("a",), "revised-rigid-body")
+def _build_revised_rigid_body(params: Mapping, symbolic: bool) -> dict:
     a_vals = _a_params(params, symbolic)
     chart = Chart(base=("x1", "x2", "x3", "a1", "a2", "a3")) if symbolic else _X3
     a = _param_polys(chart, ("a1", "a2", "a3"), a_vals, symbolic)
@@ -323,10 +318,7 @@ def _build_revised_rigid_body(params: Mapping, symbolic: bool) -> CatalogEntry:
     z = Poly.zero(chart)
     reference = _rigid_reference_x(chart, a) + [z] * (chart.dim - 3)
     x0 = (1.0, 0.5, 0.2) + (tuple(float(v) for v in a_vals) if symbolic else ())
-    return CatalogEntry(
-        name="revised-rigid-body",
-        kind="metriplectic_pair",
-        description="Damped free top: antisymmetric spin part plus exact quadratic damping, one energy in both slots.",
+    return dict(
         system=system,
         reference_rhs=tuple(reference),
         hamiltonians={"h1": h, "h2": h},
@@ -339,8 +331,7 @@ def _build_revised_rigid_body(params: Mapping, symbolic: bool) -> CatalogEntry:
     )
 
 
-def _build_almost_leibniz_ex2(params: Mapping, symbolic: bool) -> CatalogEntry:
-    _check_params(params, (), "almost-leibniz-ex2")
+def _build_almost_leibniz_ex2(params: Mapping, symbolic: bool) -> dict:
     chart = _X3
     P = TensorField2.from_strings(chart, [["0", "1", "0"], ["-1", "0", "x1"], ["0", "-x1", "0"]])
     g = TensorField2.from_strings(
@@ -355,10 +346,7 @@ def _build_almost_leibniz_ex2(params: Mapping, symbolic: bool) -> CatalogEntry:
         parse_poly(chart, "x1*x3"),
         parse_poly(chart, "-x1*x2 - x2^2"),
     )
-    return CatalogEntry(
-        name="almost-leibniz-ex2",
-        kind="almost_leibniz",
-        description="Two-generator flow: constant-plus-linear antisymmetric part with diagonal quadratic symmetric part.",
+    return dict(
         system=system,
         reference_rhs=reference,
         hamiltonians={"h1": h1, "h2": h2},
@@ -371,8 +359,7 @@ def _build_almost_leibniz_ex2(params: Mapping, symbolic: bool) -> CatalogEntry:
     )
 
 
-def _build_almost_leibniz_ex3(params: Mapping, symbolic: bool) -> CatalogEntry:
-    _check_params(params, (), "almost-leibniz-ex3")
+def _build_almost_leibniz_ex3(params: Mapping, symbolic: bool) -> dict:
     chart = _X3
     P = TensorField2.from_strings(chart, [["0", "-x3", "x2"], ["x3", "0", "0"], ["-x2", "0", "0"]])
     g = TensorField2.from_strings(chart, [["-x3", "0", "0"], ["0", "0", "0"], ["0", "0", "-x1"]])
@@ -385,10 +372,7 @@ def _build_almost_leibniz_ex3(params: Mapping, symbolic: bool) -> CatalogEntry:
         parse_poly(chart, "x1*x3"),
         parse_poly(chart, "-x1*x2 - x1*x3"),
     )
-    return CatalogEntry(
-        name="almost-leibniz-ex3",
-        kind="almost_leibniz",
-        description="Two-generator flow: rotational antisymmetric part with a degenerate diagonal symmetric part.",
+    return dict(
         system=system,
         reference_rhs=reference,
         hamiltonians={"h1": h1, "h2": h2},
@@ -401,8 +385,7 @@ def _build_almost_leibniz_ex3(params: Mapping, symbolic: bool) -> CatalogEntry:
     )
 
 
-def _build_maxwell_bloch(params: Mapping, symbolic: bool) -> CatalogEntry:
-    _check_params(params, (), "maxwell-bloch-algebroid")
+def _build_maxwell_bloch(params: Mapping, symbolic: bool) -> dict:
     chart = _X3
     z = "0"
     C = [[[z] * 3 for _ in range(3)] for _ in range(3)]
@@ -427,10 +410,7 @@ def _build_maxwell_bloch(params: Mapping, symbolic: bool) -> CatalogEntry:
         parse_poly(dual, "-x1*x3*xi1"),
         parse_poly(dual, "x1*x2*xi1"),
     )
-    return CatalogEntry(
-        name="maxwell-bloch-algebroid",
-        kind="algebroid",
-        description="Fiber-linear structure generating the Maxwell-Bloch equations on the base; the transcribed reference carries one documented misprint.",
+    return dict(
         system=system,
         reference_rhs=reference,
         hamiltonians={"h": h},
@@ -493,8 +473,7 @@ def _reference_52(dual: Chart, a: Sequence[Poly]) -> list[Poly]:
     return x_part + xi_part
 
 
-def _build_rigid_body_algebroid(params: Mapping, symbolic: bool) -> CatalogEntry:
-    _check_params(params, ("a",), "rigid-body-algebroid")
+def _build_rigid_body_algebroid(params: Mapping, symbolic: bool) -> dict:
     a_vals, a_base, a_dual, A, dual, h1 = _rigid_algebroid_pieces(params, symbolic)
     system = rhs_from_algebroid(A, h1, "rigid-body-algebroid")
     z = Poly.zero(dual)
@@ -505,10 +484,7 @@ def _build_rigid_body_algebroid(params: Mapping, symbolic: bool) -> CatalogEntry
     if symbolic:
         x0 = x0 + tuple(float(v) for v in a_vals)
     x0 = x0 + (0.5, 0.5, 0.5)
-    return CatalogEntry(
-        name="rigid-body-algebroid",
-        kind="algebroid",
-        description="Pre-Lie fiber-linear structure generating the free rigid body on the base, with a weighted linear generator.",
+    return dict(
         system=system,
         reference_rhs=tuple(reference),
         hamiltonians={"h1": h1},
@@ -521,8 +497,7 @@ def _build_rigid_body_algebroid(params: Mapping, symbolic: bool) -> CatalogEntry
     )
 
 
-def _build_rigid_body_metriplectic(params: Mapping, symbolic: bool) -> CatalogEntry:
-    _check_params(params, ("a",), "rigid-body-metriplectic-algebroid")
+def _build_rigid_body_metriplectic(params: Mapping, symbolic: bool) -> dict:
     a_vals, a_base, a_dual, A1, dual, h1 = _rigid_algebroid_pieces(params, symbolic)
     h2 = parse_poly(dual, "x1*xi1 + x2*xi2 + x3*xi3")
     L2 = prop4_construct_dual_tensor(h1)
@@ -535,10 +510,7 @@ def _build_rigid_body_metriplectic(params: Mapping, symbolic: bool) -> CatalogEn
     if symbolic:
         x0 = x0 + tuple(float(v) for v in a_vals)
     x0 = x0 + (0.5, 0.5, 0.5)
-    return CatalogEntry(
-        name="rigid-body-metriplectic-algebroid",
-        kind="metriplectic_algebroid",
-        description="Free-top antisymmetric structure paired with its constructed symmetric partner; the base flow is the damped rigid body.",
+    return dict(
         system=system,
         reference_rhs=tuple(reference),
         hamiltonians={"h1": h1, "h2": h2},
@@ -583,29 +555,66 @@ def _assert_partner_matches_reference(L2: Prop4DualTensor, dual: Chart, a_base: 
             )
 
 
-_BUILDERS: dict[str, tuple[str, Callable, str]] = {
-    "gradient-beltrami": (
+_A_SCHEMA = "a=(3/5,2/5,1/5) with a1 > a2 > a3 > 0"
+
+
+class _EntrySpec(NamedTuple):
+    kind: str
+    build: Callable[[dict, bool], dict]  # every other CatalogEntry field
+    takes: tuple[str, ...]  # the parameter names the entry accepts
+    schema: str
+    description: str
+
+
+_BUILDERS: dict[str, _EntrySpec] = {
+    "gradient-beltrami": _EntrySpec(
         "leibniz_bracket",
         _build_gradient_beltrami,
+        ("gamma", "s"),
         "gamma=(1,1,-2) summing to zero; s=(1,1,1) with entries in {-1,1}",
+        "Gradient-like flow of a constant diagonal symmetric tensor with a cubic generator.",
     ),
-    "revised-rigid-body": (
+    "revised-rigid-body": _EntrySpec(
         "metriplectic_pair",
         _build_revised_rigid_body,
-        "a=(3/5,2/5,1/5) with a1 > a2 > a3 > 0",
+        ("a",),
+        _A_SCHEMA,
+        "Damped free top: antisymmetric spin part plus exact quadratic damping, one energy in both slots.",
     ),
-    "almost-leibniz-ex2": ("almost_leibniz", _build_almost_leibniz_ex2, "none"),
-    "almost-leibniz-ex3": ("almost_leibniz", _build_almost_leibniz_ex3, "none"),
-    "maxwell-bloch-algebroid": ("algebroid", _build_maxwell_bloch, "none"),
-    "rigid-body-algebroid": (
+    "almost-leibniz-ex2": _EntrySpec(
+        "almost_leibniz",
+        _build_almost_leibniz_ex2,
+        (),
+        "none",
+        "Two-generator flow: constant-plus-linear antisymmetric part with diagonal quadratic symmetric part.",
+    ),
+    "almost-leibniz-ex3": _EntrySpec(
+        "almost_leibniz",
+        _build_almost_leibniz_ex3,
+        (),
+        "none",
+        "Two-generator flow: rotational antisymmetric part with a degenerate diagonal symmetric part.",
+    ),
+    "maxwell-bloch-algebroid": _EntrySpec(
+        "algebroid",
+        _build_maxwell_bloch,
+        (),
+        "none",
+        "Fiber-linear structure generating the Maxwell-Bloch equations on the base; the transcribed reference carries one documented misprint.",
+    ),
+    "rigid-body-algebroid": _EntrySpec(
         "algebroid",
         _build_rigid_body_algebroid,
-        "a=(3/5,2/5,1/5) with a1 > a2 > a3 > 0",
+        ("a",),
+        _A_SCHEMA,
+        "Pre-Lie fiber-linear structure generating the free rigid body on the base, with a weighted linear generator.",
     ),
-    "rigid-body-metriplectic-algebroid": (
+    "rigid-body-metriplectic-algebroid": _EntrySpec(
         "metriplectic_algebroid",
         _build_rigid_body_metriplectic,
-        "a=(3/5,2/5,1/5) with a1 > a2 > a3 > 0",
+        ("a",),
+        _A_SCHEMA,
+        "Free-top antisymmetric structure paired with its constructed symmetric partner; the base flow is the damped rigid body.",
     ),
 }
 
@@ -613,30 +622,25 @@ ENTRY_NAMES: tuple[str, ...] = tuple(_BUILDERS)
 
 
 def catalog_list() -> list[dict[str, str]]:
-    """Summaries (name, kind, parameter schema, description) for every entry."""
-    out = []
-    for name, (kind, _builder, schema) in _BUILDERS.items():
-        entry = catalog_build(name)
-        out.append(
-            {
-                "name": name,
-                "kind": kind,
-                "params": schema,
-                "description": entry.description,
-            }
-        )
-    return out
+    """Summaries (name, kind, parameter schema, description) for every entry; builds none."""
+    return [
+        {"name": name, "kind": spec.kind, "params": spec.schema, "description": spec.description}
+        for name, spec in _BUILDERS.items()
+    ]
 
 
 def catalog_build(name: str, params: Mapping | None = None, symbolic: bool = False) -> CatalogEntry:
     """Build one entry; raises UnknownEntryError / ParameterError."""
     try:
-        _kind, builder, _schema = _BUILDERS[name]
+        spec = _BUILDERS[name]
     except KeyError:
         raise UnknownEntryError(
             f"unknown catalog entry {name!r}; known: {', '.join(ENTRY_NAMES)}"
         ) from None
-    return builder(dict(params or {}), symbolic)
+    params = dict(params or {})
+    _check_params(params, spec.takes, name)
+    fields = spec.build(params, symbolic)
+    return CatalogEntry(name=name, kind=spec.kind, description=spec.description, **fields)
 
 
 # -- verification -------------------------------------------------------------------

@@ -1,15 +1,14 @@
-"""Command-line interface: list, verify, simulate, and plot catalog systems.
+"""Command-line interface: list, verify, simulate, export, and plot catalog systems.
 
 Exit codes are a stable contract for CI use: 0 success, 1 verification or
 integration failure, or a reader that closed stdout early (``leibniz verify
 --all | head``; no traceback is printed), 2 usage error (bad flags, unknown
-names, inadmissible or unexpected parameters, invalid projections, a file that
-cannot be read or written or is malformed, state values that cannot be
-plotted, a structure whose exact algebra exceeds the degree cap or needs a
-non-polynomial quotient).  Every error is one ``error: ...`` line on
-stderr.  All outputs are
-deterministic for fixed flags: CSV/JSON byte-identical across reruns, SVG
-likewise.
+names, inadmissible or unexpected parameters, a tolerance that is not positive
+and finite, invalid projections, a file that cannot be read or written or is
+malformed, state values that cannot be plotted, a structure whose exact
+algebra exceeds the degree cap or needs a non-polynomial quotient).  Every
+error is one ``error: ...`` line on stderr.  All outputs are deterministic for
+fixed flags: CSV/JSON byte-identical across reruns, SVG likewise.
 """
 
 from __future__ import annotations

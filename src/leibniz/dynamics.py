@@ -214,8 +214,8 @@ class IntegratorConfig:
             raise ValueError("t_end must be positive and finite")
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError("step must be positive and finite")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("abs_tol and rel_tol must be strictly positive")
+        if not all(tol > 0 and math.isfinite(tol) for tol in (self.abs_tol, self.rel_tol)):
+            raise ValueError("abs_tol and rel_tol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 

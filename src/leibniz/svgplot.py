@@ -18,17 +18,6 @@ import numpy as np
 
 __all__ = ["PlotSpec", "ProjectionError", "PROJECTIONS", "projection_axes", "render_svg"]
 
-PROJECTIONS: tuple[str, ...] = (
-    "x12",
-    "x13",
-    "x23",
-    "xi12",
-    "xi13",
-    "xi23",
-    "oblique3d_x",
-    "oblique3d_xi",
-)
-
 _AXES: dict[str, tuple[str, ...]] = {
     "x12": ("x1", "x2"),
     "x13": ("x1", "x3"),
@@ -39,6 +28,15 @@ _AXES: dict[str, tuple[str, ...]] = {
     "oblique3d_x": ("x1", "x2", "x3"),
     "oblique3d_xi": ("xi1", "xi2", "xi3"),
 }
+
+PROJECTIONS: tuple[str, ...] = tuple(_AXES)
+
+# document styling
+_MARGIN = 54
+_STROKE = "#1f77b4"
+_STROKE_WIDTH = 1.2
+_AXIS_COLOR = "#444444"
+_BACKGROUND = "#ffffff"
 
 _COS30 = math.cos(math.pi / 6.0)
 _SIN30 = 0.5
@@ -51,23 +49,15 @@ class ProjectionError(ValueError):
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """Projection choice plus document styling defaults."""
+    """Projection choice and document size in pixels."""
 
     projection: str = "x12"
     width: int = 640
     height: int = 480
-    margin: int = 54
-    stroke: str = "#1f77b4"
-    stroke_width: float = 1.2
-    axis_color: str = "#444444"
-    background: str = "#ffffff"
 
     def __post_init__(self) -> None:
-        if self.projection not in PROJECTIONS:
-            raise ProjectionError(
-                f"unknown projection {self.projection!r}; choose from {', '.join(PROJECTIONS)}"
-            )
-        if self.width <= 2 * self.margin or self.height <= 2 * self.margin:
+        projection_axes(self.projection)
+        if self.width <= 2 * _MARGIN or self.height <= 2 * _MARGIN:
             raise ProjectionError("plot dimensions leave no room inside the margins")
 
 
@@ -124,8 +114,8 @@ def render_svg(
         raise ProjectionError("need at least two trajectory points to draw an orbit")
     names = tuple(names)
     idx = _column_indices(names, spec.projection)
-    inner_w = spec.width - 2 * spec.margin
-    inner_h = spec.height - 2 * spec.margin
+    inner_w = spec.width - 2 * _MARGIN
+    inner_h = spec.height - 2 * _MARGIN
     # non-finite values, or a range that overflows, end up as nan or inf in
     # the screen coordinates and are refused there
     with np.errstate(all="ignore"):
@@ -134,34 +124,34 @@ def render_svg(
         vmin, vmax = _padded_range(v)
         sx = inner_w / (umax - umin)
         sy = inner_h / (vmax - vmin)
-        px = spec.margin + (u - umin) * sx
-        py = spec.height - spec.margin - (v - vmin) * sy
+        px = _MARGIN + (u - umin) * sx
+        py = spec.height - _MARGIN - (v - vmin) * sy
     if not (np.isfinite(px).all() and np.isfinite(py).all()):
         raise ProjectionError("state values are not finite, or span too wide a range to plot")
     points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
 
     axes = projection_axes(spec.projection)
-    left = spec.margin
-    right = spec.width - spec.margin
-    top = spec.margin
-    bottom = spec.height - spec.margin
+    left = _MARGIN
+    right = spec.width - _MARGIN
+    top = _MARGIN
+    bottom = spec.height - _MARGIN
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{spec.width}" height="{spec.height}" '
         f'viewBox="0 0 {spec.width} {spec.height}">',
         f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" '
-        f'fill="{spec.background}"/>',
+        f'fill="{_BACKGROUND}"/>',
         f'<rect x="{left}" y="{top}" width="{inner_w}" height="{inner_h}" '
-        f'fill="none" stroke="{spec.axis_color}" stroke-width="1"/>',
+        f'fill="none" stroke="{_AXIS_COLOR}" stroke-width="1"/>',
     ]
     if title:
         parts.append(
             f'<text x="{spec.width / 2:.2f}" y="{top - 16:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14" fill="{spec.axis_color}">'
+            f'font-family="sans-serif" font-size="14" fill="{_AXIS_COLOR}">'
             f"{_escape(title)}</text>"
         )
-    font = f'font-family="sans-serif" font-size="11" fill="{spec.axis_color}"'
+    font = f'font-family="sans-serif" font-size="11" fill="{_AXIS_COLOR}"'
     if len(idx) == 2:
         parts.extend(
             [
@@ -194,7 +184,7 @@ def render_svg(
             ey = anchor_y - 26.0 * dv / norm
             parts.append(
                 f'<line x1="{anchor_x:.2f}" y1="{anchor_y:.2f}" x2="{ex:.2f}" y2="{ey:.2f}" '
-                f'stroke="{spec.axis_color}" stroke-width="1"/>'
+                f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
             )
             parts.append(
                 f'<text x="{ex + 4:.2f}" y="{ey:.2f}" text-anchor="start" {font}>'
@@ -205,8 +195,8 @@ def render_svg(
             f"cabinet projection (30&#176;, ratio 1/2)</text>"
         )
     parts.append(
-        f'<polyline points="{points}" fill="none" stroke="{spec.stroke}" '
-        f'stroke-width="{spec.stroke_width}" stroke-linejoin="round"/>'
+        f'<polyline points="{points}" fill="none" stroke="{_STROKE}" '
+        f'stroke-width="{_STROKE_WIDTH}" stroke-linejoin="round"/>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

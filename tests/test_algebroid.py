@@ -396,6 +396,15 @@ def test_fraction_arithmetic():
     assert 2 * a == PolyFraction(Poly.const(BASE, 2), x1)
 
 
+def test_zero_fraction_prints_as_zero():
+    # a zero numerator gets the denominator 1, whatever denominator it came with
+    x1 = PB("x1")
+    a = PolyFraction(Poly.const(BASE, 1), x1)
+    for zero in (a - a, a * 0, PolyFraction(Poly.zero(BASE), x1)):
+        assert zero.den == Poly.const(BASE, 1)
+        assert str(zero) == "0"
+
+
 def test_fraction_to_poly():
     x1, x2 = PB("x1"), PB("x2")
     assert PolyFraction(x1 * x2, x2).to_poly() == x1

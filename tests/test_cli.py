@@ -32,6 +32,21 @@ class TestList:
         for row in rows:
             assert {"name", "kind", "params", "description"} == set(row)
 
+    @pytest.mark.parametrize("flags, golden", [([], "list.txt"), (["--json"], "list.json")])
+    def test_golden(self, capsys, flags, golden):
+        assert main(["list", *flags]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+    def test_builds_no_entry(self, monkeypatch, capsys):
+        # kind and description are catalog data: listing runs no construction
+        def refuse(*args, **kwargs):
+            raise AssertionError("catalog_list built an entry")
+
+        monkeypatch.setattr(catalog, "catalog_build", refuse)
+        assert [r["name"] for r in catalog.catalog_list()] == list(ENTRY_NAMES)
+        assert main(["list", "--json"]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / "list.json").read_bytes()
+
 
 class TestVerify:
     def test_clean_entry(self, capsys):
@@ -371,6 +386,13 @@ class TestGoldenOutput:
         assert main([*argv, "-o", str(out)]) == 0
         assert out.read_bytes() == (DATA / f"{golden}-rk4.{suffix}").read_bytes()
 
+    @pytest.mark.parametrize("projection", ["x12", "oblique3d_xi"])
+    def test_plot(self, tmp_path, capsys, projection):
+        entry = "rigid-body-metriplectic-algebroid"
+        out = tmp_path / "orbit.svg"
+        assert main(["plot", entry, "--proj", projection, "--t-end", "2", "-o", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"plot-{entry}-{projection}.svg").read_bytes()
+
 
 class TestPlotSpec:
     def test_projection_axes_known(self):
@@ -477,6 +499,13 @@ class TestOneLineErrors:
         proc = _run_cli(*argv)
         self._assert_one_line_error(proc, "max_steps=200000")
         assert len(proc.stderr) < 100
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance(self, tol):
+        # nan once rejected every step (status 3), inf accepted every step
+        proc = _run_cli("simulate", "revised-rigid-body", "--tol", tol, "--t-end", "1")
+        self._assert_one_line_error(proc, "abs_tol and rel_tol must be positive and finite")
+        assert proc.stdout == ""
 
     def test_zero_denominator_parameter(self):
         proc = _run_cli("verify", "revised-rigid-body", "--a=1/0,1,1")

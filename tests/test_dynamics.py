@@ -390,6 +390,11 @@ class TestIntegrate:
             IntegratorConfig(abs_tol=0.0)
         with pytest.raises(ValueError, match="positive"):
             IntegratorConfig(rel_tol=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                IntegratorConfig(abs_tol=bad)
+            with pytest.raises(ValueError, match="finite"):
+                IntegratorConfig(rel_tol=bad)
         with pytest.raises(ValueError, match="max_steps"):
             IntegratorConfig(max_steps=0)
 
