@@ -5,15 +5,21 @@ integration failure, or a reader that closed stdout early (``leibniz verify
 --all | head``; no traceback is printed), 2 usage error (bad flags, unknown
 names, inadmissible or unexpected parameters, a tolerance that is not positive
 and finite, invalid projections, a file that cannot be read or written or is
-malformed, state values that cannot be plotted, a structure whose exact
-algebra exceeds the degree cap or needs a non-polynomial quotient).  Every
-error is one ``error: ...`` line on stderr.  All outputs are deterministic for
-fixed flags: CSV/JSON byte-identical across reruns, SVG likewise.
+malformed, entry flags (``--params``, ``--gamma``, ``--s``, ``--a``,
+``--symbolic``) given with a structure or trajectory file, state values that
+cannot be plotted, a structure whose exact algebra exceeds the degree cap or
+needs a non-polynomial quotient).  Every error is one ``error: ...`` line on
+stderr.  All outputs are deterministic for fixed flags: CSV/JSON
+byte-identical across reruns, SVG likewise.
+
+``main`` may be called many times in one process: the parser is built on the
+first call and reused, and no call sees the flags of an earlier one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -108,6 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # safe to share: each parse_args starts a fresh namespace, and no option has
+    # a mutable default (--params appends onto None)
+    return build_parser()
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--params",
@@ -151,6 +164,15 @@ def _collect_params(args: argparse.Namespace) -> dict[str, tuple[str, ...]]:
         if value is not None:
             params[key] = tuple(v.strip() for v in value.split(","))
     return params
+
+
+def _refuse_entry_flags(args: argparse.Namespace, kind: str) -> None:
+    """Entry flags select a catalog entry's parameters; a file has none to set."""
+    given = [f"--{key}" for key in ("params", "gamma", "s", "a") if getattr(args, key) is not None]
+    if args.symbolic:
+        given.append("--symbolic")
+    if given:
+        raise _UsageError(f"entry flags ({', '.join(given)}) do not apply to a {kind} file")
 
 
 def _config_from_args(args: argparse.Namespace, entry_t_end: float) -> IntegratorConfig:
@@ -246,6 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.name is not None and args.name not in ENTRY_NAMES:
         path = Path(args.name)
         if path.exists():
+            _refuse_entry_flags(args, "structure")
             return _verify_structure_file(path, args)
         raise UnknownEntryError(
             f"{args.name!r} is neither a catalog entry "
@@ -321,6 +344,7 @@ def _trajectory_for_plot(args: argparse.Namespace) -> tuple[str, tuple[str, ...]
         return source, entry.chart.names, trajectory
     path = Path(source)
     if path.exists():
+        _refuse_entry_flags(args, "trajectory")
         names, trajectory = trajectory_from_json(path.read_text())
         return path.stem, names, trajectory
     raise UnknownEntryError(
@@ -340,9 +364,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
     handlers = {

@@ -96,7 +96,9 @@ def _padded_range(values: np.ndarray) -> tuple[float, float]:
     hi = float(np.max(values))
     if hi - lo < 1e-12:
         center = 0.5 * (lo + hi)
-        return center - 1.0, center + 1.0
+        # from 2**53 on, center +- 1.0 rounds back to center; one ulp does not
+        half = max(1.0, math.ulp(center))
+        return center - half, center + half
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
 

@@ -330,6 +330,39 @@ class TestParameterChecks:
         assert err.startswith("error: entry ") and err.count("\n") == 1
 
 
+class TestEntryFlagsOnFiles:
+    """Entry flags given with a file were once ignored without a word."""
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--a=1,2,3", "--symbolic", "--gamma=5"], "--gamma, --a, --symbolic"),
+            (["--params", "a=1,2,3", "--json"], "--params"),
+            (["--s=1,1,1"], "--s"),
+        ],
+    )
+    def test_verify_structure_file(self, capsys, flags, named):
+        assert main(["verify", str(DATA / "rigid-body-algebroid-structure.json"), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: entry flags ({named}) do not apply to a structure file\n"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--a=1,2,3"], "--a"), (["--symbolic"], "--symbolic"), (["--params", "gamma=1,1,1"], "--params")],
+    )
+    def test_plot_trajectory_file(self, tmp_path, capsys, flags, named):
+        doc = {"chart": ["x1", "x2"], "times": [0, 1], "states": [[0, 1], [1, 2]], "status": 0, "accepted": 1, "rejected": 0}
+        path = tmp_path / "orbit.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "orbit.svg"
+        assert main(["plot", str(path), *flags, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: entry flags ({named}) do not apply to a trajectory file\n"
+        assert not out.exists()
+        # without the entry flag the same file plots
+        assert main(["plot", str(path), "-o", str(out)]) == 0
+
+
 class TestGoldenOutput:
     """Byte-for-byte pins of certificate and export output.
 
@@ -454,6 +487,18 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 
+    def test_python_dash_m_leibniz(self):
+        # a source checkout runs like the installed ``leibniz`` script
+        src = str(Path(leibniz.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "leibniz", "list"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout == (DATA / "list.txt").read_bytes()
+
 
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(leibniz.__file__).resolve().parents[1])
@@ -559,6 +604,16 @@ class TestReadersFoundByFuzzing:
         assert main(["plot", str(path), "-o", str(tmp_path / "orbit.svg")]) == 2
         assert capsys.readouterr().err.startswith("error: malformed trajectory document")
 
+    def test_large_constant_coordinate(self, tmp_path, capsys):
+        # a flat range padded by +-1.0 collapsed to zero width from 2**53 on
+        doc = {"chart": ["x1", "x2"], "times": [0.0, 1.0], "states": [[9007199254740996.0, 1.0], [9007199254740996.0, 2.0]], "status": 0, "accepted": 1, "rejected": 0}
+        path = tmp_path / "orbit.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "orbit.svg"
+        assert main(["plot", str(path), "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert 'points="320.00,409.09 320.00,70.91"' in out.read_text()
+
     @pytest.mark.parametrize(
         "states, times",
         [
@@ -576,3 +631,104 @@ class TestReadersFoundByFuzzing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "orbit.svg").exists()
+
+
+def _call(argv, capsys, monkeypatch):
+    """Exit code, stdout, stderr and the parsed flags of one ``main`` call."""
+    seen = []
+    handler = cli.cmd_verify
+
+    def recording(args):
+        seen.append({k: list(v) if isinstance(v, list) else v for k, v in vars(args).items()})
+        return handler(args)
+
+    monkeypatch.setattr(cli, "cmd_verify", recording)
+    code = main(argv)
+    monkeypatch.setattr(cli, "cmd_verify", handler)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, seen
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process, and no call leaks into the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    SEQUENCE = (
+        ["verify", "revised-rigid-body", "--a=7/10,1/2,3/10", "--json"],
+        ["verify", "revised-rigid-body", "--json"],
+        ["verify", "revised-rigid-body", "--strict"],
+        ["verify", "revised-rigid-body"],
+        # a misprint: the exit code and the verdict follow --strict
+        ["verify", "maxwell-bloch-algebroid", "--strict"],
+        ["verify", "maxwell-bloch-algebroid"],
+    )
+
+    def test_calls_in_sequence_match_calls_alone(self, capsys, monkeypatch):
+        in_sequence = [_call(argv, capsys, monkeypatch) for argv in self.SEQUENCE]
+        alone = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            alone.append(_call(argv, capsys, monkeypatch))
+        assert in_sequence == alone
+        assert [r[0] for r in alone] == [0, 0, 0, 0, 1, 0]
+        assert alone[0][3][0]["a"] == "7/10,1/2,3/10" and alone[1][3][0]["a"] is None
+
+    def test_repeated_params_do_not_accumulate(self, capsys, monkeypatch):
+        argv = ["verify", "revised-rigid-body", "--params", "a=1,1,1", "--params", "a=7/10,1/2,3/10"]
+        first, second = _call(argv, capsys, monkeypatch), _call(argv, capsys, monkeypatch)
+        assert first == second
+        assert first[0] == 0
+        assert first[3][0]["params"] == ["a=1,1,1", "a=7/10,1/2,3/10"]
+        assert _call(["verify", "revised-rigid-body"], capsys, monkeypatch)[3][0]["params"] is None
+
+    def test_usage_error_then_help_then_valid_call(self, capsys):
+        assert main(["verify", "revised-rigid-body", "--no-such-flag"]) == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert main(["verify", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: leibniz verify")
+        assert main(["verify", "revised-rigid-body"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("result: ok\n") and captured.err == ""
+
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert main(["list"]) == 0
+        assert main(["verify", "revised-rigid-body"]) == 0
+        assert main(["frobnicate"]) == 2
+        assert main(["list", "--json"]) == 0
+        assert len(built) == 1
+        # the public builder still gives a new parser on every call
+        assert build() is not build()
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [([], "help.txt"), (["verify"], "help-verify.txt"), (["simulate"], "help-simulate.txt")],
+    )
+    def test_help_golden(self, capsys, monkeypatch, argv, golden):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([*argv, "--help"]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+    def test_help_width_is_read_when_printed(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["verify", "--help"]) == 0
+        narrow = capsys.readouterr().out
+        monkeypatch.setenv("COLUMNS", "120")
+        assert main(["verify", "--help"]) == 0
+        wide = capsys.readouterr().out
+        assert narrow.encode() == (DATA / "help-verify.txt").read_bytes()
+        assert wide != narrow
+        assert max(map(len, narrow.splitlines())) <= 80 < max(map(len, wide.splitlines())) <= 120
+

@@ -13,7 +13,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from leibniz.cli import main
@@ -147,6 +147,10 @@ def trajectory_docs(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(trajectory_docs(), st.text(max_size=40)), st.sampled_from(["x12", "xi13", "oblique3d_x"]))
+@example(  # a flat range padded by +-1.0 collapsed to zero width from 2**53 on
+    json.dumps({"chart": ["x1", "x2"], "times": [0.0, 1.0], "states": [[9007199254740996.0, 1.0], [9007199254740996.0, 2.0]], "status": 0, "accepted": 1, "rejected": 0}),
+    "x12",
+)
 def test_plot_trajectory_file(text, projection):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "orbit.json"
