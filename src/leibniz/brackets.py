@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .poly import Chart, ChartMismatchError, Poly, _poly_sum, grad, poly_matrix
 
 Antisymmetric = "antisymmetric"
@@ -122,15 +120,6 @@ class TensorField2:
         if self.is_symmetric():
             return Symmetric
         return General
-
-    def determinant_at(self, point: Sequence[float]) -> float:
-        """Numeric determinant at one point (degeneracy diagnostic only)."""
-        d = self.chart.dim
-        m = np.array(
-            [[self.entries[i][j].evaluate(point) for j in range(d)] for i in range(d)],
-            dtype=float,
-        )
-        return float(np.linalg.det(m))
 
 
 def bracket_apply(tensor: TensorField2, f: Poly, h: Poly) -> Poly:
@@ -263,31 +252,6 @@ def check_pair_scaling(
         residual,
         note="both gradient terms carry their Hamiltonian factor",
     )
-
-
-_IDENTITY_CHECKS = {
-    "derivation-first-slot": check_derivation_first,
-    "derivation-second-slot": check_derivation_second,
-    "two-hamiltonian-product": check_pair_product,
-    "two-hamiltonian-scaling": check_pair_scaling,
-}
-
-
-def derivation_identity_check(identity: str, *args) -> IdentityCertificate:
-    """Dispatch one of the named identity certificates.
-
-    A MetriplecticPair may be passed in place of the two leading tensors of
-    the pair identities.
-    """
-    try:
-        func = _IDENTITY_CHECKS[identity]
-    except KeyError:
-        raise ValueError(
-            f"unknown identity {identity!r}; choose from {sorted(_IDENTITY_CHECKS)}"
-        ) from None
-    if args and isinstance(args[0], MetriplecticPair):
-        args = (args[0].P, args[0].g) + args[1:]
-    return func(*args)
 
 
 def symmetry_classify(tensor: TensorField2) -> str:

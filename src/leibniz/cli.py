@@ -6,11 +6,13 @@ integration failure, or a reader that closed stdout early (``leibniz verify
 names, inadmissible or unexpected parameters, a tolerance that is not positive
 and finite, invalid projections, a file that cannot be read or written or is
 malformed, entry flags (``--params``, ``--gamma``, ``--s``, ``--a``,
-``--symbolic``) given with a structure or trajectory file, state values that
-cannot be plotted, a structure whose exact algebra exceeds the degree cap or
-needs a non-polynomial quotient).  Every error is one ``error: ...`` line on
-stderr.  All outputs are deterministic for fixed flags: CSV/JSON
-byte-identical across reruns, SVG likewise.
+``--symbolic``) given with a structure or trajectory file, integrator flags
+(``--t-end``, ``--step``, ``--tol``, ``--method``, ``--max-steps``) given with
+a trajectory file, state values that cannot be plotted, a structure whose
+exact algebra exceeds the degree cap or needs a non-polynomial quotient).
+Every error is one ``error: ...`` line on stderr.  All outputs are
+deterministic for fixed flags: CSV/JSON byte-identical across reruns, SVG
+likewise.
 
 ``main`` may be called many times in one process: the parser is built on the
 first call and reused, and no call sees the flags of an earlier one.
@@ -32,6 +34,8 @@ from .catalog import (
     CatalogEntry,
     ParameterError,
     UnknownEntryError,
+    _check_lines,
+    _check_records,
     catalog_build,
     catalog_list,
     catalog_verify,
@@ -141,15 +145,17 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", type=float, default=None, help="integration span (default: entry's)")
-    p.add_argument("--step", type=float, default=1e-2, help="fixed step size for rk4")
-    p.add_argument("--tol", type=float, default=1e-10, help="absolute and relative tolerance for rk45")
+    # None marks a flag not given: IntegratorConfig supplies its default, and a
+    # trajectory file refuses only the flags that were given
+    p.add_argument("--step", type=float, default=None, help="fixed step size for rk4")
+    p.add_argument("--tol", type=float, default=None, help="absolute and relative tolerance for rk45")
     p.add_argument(
         "--method",
         choices=("rk4", "rk45"),
-        default="rk45",
+        default=None,
         help="fixed-step classical scheme or adaptive embedded pair",
     )
-    p.add_argument("--max-steps", type=int, default=200_000)
+    p.add_argument("--max-steps", type=int, default=None)
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, tuple[str, ...]]:
@@ -175,17 +181,21 @@ def _refuse_entry_flags(args: argparse.Namespace, kind: str) -> None:
         raise _UsageError(f"entry flags ({', '.join(given)}) do not apply to a {kind} file")
 
 
+def _refuse_integrator_flags(args: argparse.Namespace) -> None:
+    """Integrator flags set up an integration; a trajectory file is one already run."""
+    keys = ("t_end", "step", "tol", "method", "max_steps")
+    given = [f"--{key.replace('_', '-')}" for key in keys if getattr(args, key) is not None]
+    if given:
+        raise _UsageError(f"integrator flags ({', '.join(given)}) do not apply to a trajectory file")
+
+
 def _config_from_args(args: argparse.Namespace, entry_t_end: float) -> IntegratorConfig:
-    method = "rk4_fixed" if args.method == "rk4" else "rk45_adaptive"
+    method = {"rk4": "rk4_fixed", "rk45": "rk45_adaptive"}.get(args.method)
     t_end = args.t_end if args.t_end is not None else entry_t_end
-    return IntegratorConfig(
-        method=method,
-        t_end=t_end,
-        step=args.step,
-        abs_tol=args.tol,
-        rel_tol=args.tol,
-        max_steps=args.max_steps,
+    given = dict(
+        method=method, step=args.step, abs_tol=args.tol, rel_tol=args.tol, max_steps=args.max_steps
     )
+    return IntegratorConfig(t_end=t_end, **{k: v for k, v in given.items() if v is not None})
 
 
 def _build_entry(name: str, args: argparse.Namespace) -> CatalogEntry:
@@ -220,20 +230,10 @@ def _verify_one(name: str, args: argparse.Namespace) -> tuple[bool, dict, list[s
         ok = report.clean and all(c.passed for c in certs)
     else:
         ok = report.clean_modulo_known and all(c.passed or c.whitelisted for c in certs)
-    lines = report.lines(strict=args.strict)
-    for c in certs:
-        if c.passed:
-            lines.append(f"  certification {c.name}: pass")
-        elif c.whitelisted and not args.strict:
-            lines.append(f"  certification {c.name}: known discrepancy ({c.detail})")
-        else:
-            lines.append(f"  certification {c.name}: FAIL ({c.detail})")
+    lines = report.lines(strict=args.strict) + _check_lines(certs, "certification", args.strict)
     lines.append(f"  result: {'ok' if ok else 'FAILED'}")
     doc = report.to_dict()
-    doc["certifications"] = [
-        {"name": c.name, "passed": c.passed, "whitelisted": c.whitelisted, "detail": c.detail}
-        for c in certs
-    ]
+    doc["certifications"] = _check_records(certs)
     doc["ok"] = ok
     return ok, doc, lines
 
@@ -345,6 +345,7 @@ def _trajectory_for_plot(args: argparse.Namespace) -> tuple[str, tuple[str, ...]
     path = Path(source)
     if path.exists():
         _refuse_entry_flags(args, "trajectory")
+        _refuse_integrator_flags(args)
         names, trajectory = trajectory_from_json(path.read_text())
         return path.stem, names, trajectory
     raise UnknownEntryError(

@@ -19,7 +19,6 @@ from leibniz.brackets import (
     check_derivation_second,
     check_pair_product,
     check_pair_scaling,
-    derivation_identity_check,
     hamiltonian_vf,
     prop2_equivalence_check,
     symmetry_classify,
@@ -260,17 +259,11 @@ def test_pair_identities_random():
 
 def test_identity_dispatch():
     B = tensor(SPIN_P)
-    cert = derivation_identity_check(
-        "derivation-first-slot", B, P("x1"), P("x2"), P("x1*x2*x3")
-    )
+    cert = check_derivation_first(B, P("x1"), P("x2"), P("x1*x2*x3"))
     assert cert.passed and cert.identity == "derivation-first-slot"
     pair = MetriplecticPair(tensor(EX2_P), tensor(EX2_G))
-    cert = derivation_identity_check(
-        "two-hamiltonian-product", pair, P("x1"), P("x3"), P(EX2_H1), P(EX2_H2)
-    )
-    assert cert.passed
-    with pytest.raises(ValueError):
-        derivation_identity_check("no-such-identity", B)
+    cert = check_pair_product(pair.P, pair.g, P("x1"), P("x3"), P(EX2_H1), P(EX2_H2))
+    assert cert.passed and cert.identity == "two-hamiltonian-product"
 
 
 # -- annihilators and the single-generator equivalence ----------------------------
@@ -323,11 +316,6 @@ def test_symmetry_classes():
     assert symmetry_classify(tensor(EX2_G)) == "symmetric"
     assert symmetry_classify(tensor(EX2_P) + tensor(EX2_G)) == "general"
     assert symmetry_classify(TensorField2.zero(C3)) == "antisymmetric"
-
-
-def test_determinant_diagnostic():
-    B = tensor([["x1", "0", "0"], ["0", "x2", "0"], ["0", "0", "x3"]])
-    assert B.determinant_at([2.0, 3.0, 4.0]) == pytest.approx(24.0)
 
 
 # -- finite-difference oracle ------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import leibniz
 from leibniz import catalog, cli
-from leibniz.catalog import ENTRY_NAMES, catalog_build
+from leibniz.catalog import ENTRY_NAMES, CheckResult, catalog_build
 from leibniz.cli import main
 from leibniz.dynamics import lie_derivative
 from leibniz.svgplot import PROJECTIONS, PlotSpec, ProjectionError, projection_axes
@@ -101,6 +101,16 @@ class TestVerify:
     def test_bad_params_flag_syntax(self, capsys):
         assert main(["verify", "revised-rigid-body", "--params", "nonsense"]) == 2
         assert "KEY=V1,V2" in capsys.readouterr().err
+
+    def test_failed_certification_lines(self, capsys, monkeypatch):
+        # certifications render like the report's checks: the detail in
+        # parentheses only when there is one
+        certs = [CheckResult("no-detail", False), CheckResult("with-detail", False, True, "why")]
+        monkeypatch.setattr(cli, "entry_certifications", lambda entry: certs)
+        assert main(["verify", "gradient-beltrami"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "  certification no-detail: FAIL" in lines
+        assert "  certification with-detail: known discrepancy (why)" in lines
 
 
 class TestSimulate:
@@ -331,7 +341,14 @@ class TestParameterChecks:
 
 
 class TestEntryFlagsOnFiles:
-    """Entry flags given with a file were once ignored without a word."""
+    """Entry and integrator flags given with a file were once ignored without a word."""
+
+    @staticmethod
+    def _trajectory_file(tmp_path):
+        doc = {"chart": ["x1", "x2"], "times": [0, 1], "states": [[0, 1], [1, 2]], "status": 0, "accepted": 1, "rejected": 0}
+        path = tmp_path / "orbit.json"
+        path.write_text(json.dumps(doc))
+        return path
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -352,15 +369,32 @@ class TestEntryFlagsOnFiles:
         [(["--a=1,2,3"], "--a"), (["--symbolic"], "--symbolic"), (["--params", "gamma=1,1,1"], "--params")],
     )
     def test_plot_trajectory_file(self, tmp_path, capsys, flags, named):
-        doc = {"chart": ["x1", "x2"], "times": [0, 1], "states": [[0, 1], [1, 2]], "status": 0, "accepted": 1, "rejected": 0}
-        path = tmp_path / "orbit.json"
-        path.write_text(json.dumps(doc))
+        path = self._trajectory_file(tmp_path)
         out = tmp_path / "orbit.svg"
         assert main(["plot", str(path), *flags, "-o", str(out)]) == 2
         assert capsys.readouterr().err == f"error: entry flags ({named}) do not apply to a trajectory file\n"
         assert not out.exists()
         # without the entry flag the same file plots
         assert main(["plot", str(path), "-o", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--t-end", "1"], "--t-end"),
+            (["--step", "0.5"], "--step"),
+            (["--tol", "1"], "--tol"),
+            (["--method", "rk4"], "--method"),
+            (["--max-steps", "1"], "--max-steps"),
+        ],
+    )
+    def test_integrator_flag_on_trajectory_file(self, tmp_path, capsys, flags, named):
+        path = self._trajectory_file(tmp_path)
+        out = tmp_path / "orbit.svg"
+        assert main(["plot", str(path), *flags, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: integrator flags ({named}) do not apply to a trajectory file\n"
+        assert not out.exists()
 
 
 class TestGoldenOutput:
@@ -404,6 +438,14 @@ class TestGoldenOutput:
         assert main(["export", entry, "-o", str(out)]) == 0
         assert out.read_bytes() == (DATA / f"{entry}-structure.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "method, method_flags",
+        [
+            ("rk4", ["--step", "1e-3", "--t-end", "0.05"]),
+            # the default tolerance; the symbolic gradient flow rejects one step
+            ("rk45", ["--t-end", "2"]),
+        ],
+    )
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     @pytest.mark.parametrize(
         "entry, flags, golden",
@@ -412,12 +454,12 @@ class TestGoldenOutput:
             ("gradient-beltrami", ["--symbolic"], "simulate-gradient-beltrami-symbolic"),
         ],
     )
-    def test_simulate(self, tmp_path, capsys, entry, flags, golden, suffix):
+    def test_simulate(self, tmp_path, capsys, entry, flags, golden, suffix, method, method_flags):
         # trajectory rows, observable values and their drift and monotonicity
         out = tmp_path / f"orbit.{suffix}"
-        argv = ["simulate", entry, *flags, "--method", "rk4", "--step", "1e-3", "--t-end", "0.05"]
+        argv = ["simulate", entry, *flags, "--method", method, *method_flags]
         assert main([*argv, "-o", str(out)]) == 0
-        assert out.read_bytes() == (DATA / f"{golden}-rk4.{suffix}").read_bytes()
+        assert out.read_bytes() == (DATA / f"{golden}-{method}.{suffix}").read_bytes()
 
     @pytest.mark.parametrize("projection", ["x12", "oblique3d_xi"])
     def test_plot(self, tmp_path, capsys, projection):
