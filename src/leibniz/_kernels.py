@@ -78,6 +78,8 @@ def rk4(f, y, t_end, n_steps):
         y = y_new
         times.append((step + 1) * h)
         states.extend(y)
+    # n_steps * (t_end / n_steps) can be an ulp off t_end
+    times[-1] = t_end
     return times, states, n_steps, 0, STATUS_OK
 
 
@@ -129,7 +131,8 @@ def dp54(f, y, t_end, h_init, abs_tol, rel_tol, max_steps):
         finite = all(map(math.isfinite, y5)) and all(map(math.isfinite, ratios))
         err = max(ratios) if finite else math.inf
         if err <= 1.0:
-            t = t + h
+            # the step clipped to the end lands on t_end, where t + h can miss it by an ulp
+            t = t_end if h == t_end - t else t + h
             y = y5
             k1 = k7  # first-same-as-last
             times.append(t)

@@ -12,6 +12,12 @@ fiberwise-linear 2-contravariant tensor on the dual bundle chart
     T(d x^i,  d xi_a) = -rho2[i][a]
     T(d x^i,  d x^j)  = 0
 
+That correspondence (Theorem 1) is one plain ``TensorField2`` both ways:
+``lambda_from_structure`` assembles it, ``structure_from_lambda`` reads the
+structure back off it, and ``fiber_linearity_defect`` is the one test of the
+layout.  ``theorem1_check`` certifies the compatibility identities for given
+sections and ``basis_compatible`` for every pair of basis sections.
+
 Also here: the section bracket and its defining-identity certificates, exact
 classification (pre-Lie / symmetric / general), a constructor that derives a
 fiber-annihilating symmetric partner tensor from a fiberwise-linear
@@ -289,60 +295,13 @@ def lift_section(A: AlgebroidStructure, sigma: Section) -> Poly:
     )
 
 
-@dataclass(frozen=True)
-class DualChartTensor:
-    """A 2-contravariant tensor on the dual chart, with bundle shape (n, m)."""
+def lambda_from_structure(A: AlgebroidStructure) -> TensorField2:
+    """The dual-chart tensor encoding ``A``, in the block layout of the module docstring.
 
-    tensor: TensorField2
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.tensor.chart.n_base != self.n or self.tensor.chart.n_fiber != self.m:
-            raise ValueError("tensor chart does not match the declared (n, m)")
-
-    def certify_linear(self) -> tuple[bool, str]:
-        """Exact fiberwise-linearity check; returns (ok, reason-if-not)."""
-        names = self.tensor.chart.names
-        n, m = self.n, self.m
-        for i in range(n):
-            for j in range(n):
-                if not self.tensor.entry(i, j).is_zero:
-                    return False, f"base-base entry ({names[i]}, {names[j]}) is nonzero"
-        for i in range(n):
-            for a in range(m):
-                for p, slot in (
-                    (self.tensor.entry(i, n + a), (names[i], names[n + a])),
-                    (self.tensor.entry(n + a, i), (names[n + a], names[i])),
-                ):
-                    if not p.is_zero and p.fiber_degree() > 0:
-                        return False, f"anchor entry {slot} depends on fiber variables"
-        for a in range(m):
-            for b in range(m):
-                p = self.tensor.entry(n + a, n + b)
-                if p.is_zero:
-                    continue
-                nb = self.tensor.chart.n_base
-                for exponent, _ in p.terms():
-                    if sum(exponent[nb:]) != 1:
-                        return False, (
-                            f"fiber-fiber entry ({names[n + a]}, {names[n + b]}) "
-                            "has a term not of fiber degree 1"
-                        )
-        return True, ""
-
-
-def lambda_from_structure(A: AlgebroidStructure) -> DualChartTensor:
-    """Assemble the fiberwise-linear tensor encoding the structure."""
-    result = _assemble_dual_tensor(A)
-    ok, reason = result.certify_linear()
-    if not ok:
-        raise CertificationError(f"assembled tensor is not fiberwise linear: {reason}")
-    return result
-
-
-def _assemble_dual_tensor(A: AlgebroidStructure) -> DualChartTensor:
-    """The dual-chart tensor of ``A``, not certified: callers run ``certify_linear``."""
+    It is fiberwise linear by construction: every structure entry lives on the
+    base chart, so the anchor blocks hold no fiber variable and each
+    fiber-fiber entry is sum_d C[a][b][d] * xi_d.
+    """
     chart = A.dual_chart
     n, m = A.n, A.m
     zero = Poly.zero(chart)
@@ -358,7 +317,33 @@ def _assemble_dual_tensor(A: AlgebroidStructure) -> DualChartTensor:
                 chart,
                 (embed(A.C[a][b][d], chart) * xi[d] for d in range(m) if not A.C[a][b][d].is_zero),
             )
-    return DualChartTensor(TensorField2(chart, entries), n, m)
+    return TensorField2(chart, entries)
+
+
+def fiber_linearity_defect(T: TensorField2) -> str:
+    """Why the dual-chart tensor ``T`` is not fiberwise linear; empty when it is."""
+    names = T.chart.names
+    n, m = T.chart.n_base, T.chart.n_fiber
+    for i in range(n):
+        for j in range(n):
+            if not T.entry(i, j).is_zero:
+                return f"base-base entry ({names[i]}, {names[j]}) is nonzero"
+    for i in range(n):
+        for a in range(m):
+            for p, slot in (
+                (T.entry(i, n + a), (names[i], names[n + a])),
+                (T.entry(n + a, i), (names[n + a], names[i])),
+            ):
+                if not p.is_zero and p.fiber_degree() > 0:
+                    return f"anchor entry {slot} depends on fiber variables"
+    for a in range(m):
+        for b in range(m):
+            if any(sum(exponent[n:]) != 1 for exponent, _ in T.entry(n + a, n + b).terms()):
+                return (
+                    f"fiber-fiber entry ({names[n + a]}, {names[n + b]}) "
+                    "has a term not of fiber degree 1"
+                )
+    return ""
 
 
 def _fiber_linear_decompose(p: Poly, n: int, m: int) -> list[Poly]:
@@ -375,22 +360,17 @@ def _fiber_linear_decompose(p: Poly, n: int, m: int) -> list[Poly]:
     return [_poly_sum(base, terms) for terms in monomials]
 
 
-def structure_from_lambda(L: DualChartTensor | TensorField2) -> AlgebroidStructure:
+def structure_from_lambda(T: TensorField2) -> AlgebroidStructure:
     """Read (C, rho1, rho2) back off a fiberwise-linear dual-chart tensor."""
-    if isinstance(L, TensorField2):
-        L = DualChartTensor(L, L.chart.n_base, L.chart.n_fiber)
-    ok, reason = L.certify_linear()
-    if not ok:
+    reason = fiber_linearity_defect(T)
+    if reason:
         raise NotLinearError(reason)
-    n, m = L.n, L.m
-    chart = L.tensor.chart
+    chart = T.chart
+    n, m = chart.n_base, chart.n_fiber
     base = chart.base_only()
-    rho1 = [[restrict(L.tensor.entry(n + a, i), base) for a in range(m)] for i in range(n)]
-    rho2 = [[restrict(-L.tensor.entry(i, n + a), base) for a in range(m)] for i in range(n)]
-    C = [
-        [_fiber_linear_decompose(L.tensor.entry(n + a, n + b), n, m) for b in range(m)]
-        for a in range(m)
-    ]
+    rho1 = [[restrict(T.entry(n + a, i), base) for a in range(m)] for i in range(n)]
+    rho2 = [[restrict(-T.entry(i, n + a), base) for a in range(m)] for i in range(n)]
+    C = [[_fiber_linear_decompose(T.entry(n + a, n + b), n, m) for b in range(m)] for a in range(m)]
     return AlgebroidStructure(base, m, C, rho1, rho2)
 
 
@@ -462,7 +442,7 @@ def theorem1_check(
     """
     if f.chart != A.base_chart:
         raise ChartMismatchError("f must be a base-chart function")
-    T = lambda_from_structure(A).tensor
+    T = lambda_from_structure(A)
     l1 = lift_section(A, s1)
     r_bracket = _bracket_lift_residual(A, T, s1, s2, l1, lift_section(A, s2))
     r_left, r_right = _anchor_residuals(A, T, s1, l1, f)
@@ -494,6 +474,26 @@ def _anchor_residuals(
     r_left = T.apply(lift, f_lift) - embed(_anchor_derivative(A, 1, s, f), chart)
     r_right = T.apply(f_lift, lift) + embed(_anchor_derivative(A, 2, s, f), chart)
     return r_left, r_right
+
+
+def basis_compatible(A: AlgebroidStructure, T: TensorField2) -> bool:
+    """The identities of :func:`theorem1_check` over every pair of basis sections.
+
+    ``T`` is ``lambda_from_structure(A)``, built once by the caller.  The anchor
+    identities are probed with the base function x1*x2 (x1^2 over a
+    one-variable base).
+    """
+    base = A.base_chart
+    f = Poly.var(base, base.names[0]) * Poly.var(base, base.names[min(1, base.dim - 1)])
+    sections = [Section.basis(base, A.m, a) for a in range(A.m)]
+    lifts = [lift_section(A, s) for s in sections]
+    return all(
+        r.is_zero for s, l in zip(sections, lifts) for r in _anchor_residuals(A, T, s, l, f)
+    ) and all(
+        _bracket_lift_residual(A, T, s1, s2, l1, l2).is_zero
+        for s1, l1 in zip(sections, lifts)
+        for s2, l2 in zip(sections, lifts)
+    )
 
 
 def classify_algebroid(A: AlgebroidStructure) -> str:
@@ -536,8 +536,6 @@ def fiber_linear_coefficients(h1: Poly) -> list[Poly]:
     chart = h1.chart
     if chart.n_fiber == 0:
         raise ValueError("Hamiltonian chart has no fiber variables")
-    if h1.is_zero:
-        return [Poly.zero(chart.base_only())] * chart.n_fiber
     return _fiber_linear_decompose(h1, chart.n_base, chart.n_fiber)
 
 
@@ -554,13 +552,11 @@ class Prop4DualTensor:
     fails rather than return an uncertified tensor.
     """
 
-    __slots__ = ("dual_chart", "n", "m", "h1", "rho2", "c_diag", "anchors")
+    __slots__ = ("dual_chart", "rho2", "c_diag", "anchors")
 
-    def __init__(self, dual_chart: Chart, h1: Poly, rho2, c_diag):
+    def __init__(self, dual_chart: Chart, rho2, c_diag):
         self.dual_chart = dual_chart
-        self.n = n = dual_chart.n_base
-        self.m = m = dual_chart.n_fiber
-        self.h1 = h1
+        n, m = dual_chart.n_base, dual_chart.n_fiber
         self.rho2 = tuple(tuple(row) for row in rho2)  # n x m, base Polys
         self.c_diag = tuple(c_diag)  # m PolyFractions on the dual chart
         rows = [[Poly.zero(dual_chart)] * (n + m) for _ in range(n + m)]
@@ -657,7 +653,7 @@ def prop4_construct_dual_tensor(h1: Poly) -> Prop4DualTensor:
             ),
         )
         c_diag.append(PolyFraction(-num, embed(coeffs[a], chart)))
-    result = Prop4DualTensor(chart, h1, rho2, c_diag)
+    result = Prop4DualTensor(chart, rho2, c_diag)
     residuals = result.annihilation_residuals(h1, "first")
     bad = {k: v for k, v in residuals.items() if not v.is_zero}
     if bad:

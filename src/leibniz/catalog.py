@@ -34,16 +34,13 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .algebroid import (
     AlgebroidStructure,
-    DualChartTensor,
     PolyFraction,
     Prop4DualTensor,
-    _anchor_residuals,
-    _assemble_dual_tensor,
-    _bracket_lift_residual,
-    lift_section,
+    basis_compatible,
+    fiber_linearity_defect,
+    lambda_from_structure,
     prop4_construct_dual_tensor,
     structure_to_json,
-    Section,
 )
 from .brackets import (
     MetriplecticPair,
@@ -436,7 +433,7 @@ def _assert_partner_matches_reference(L2: Prop4DualTensor, a: Sequence[Poly]) ->
     """
     dual = L2.dual_chart
     damping = _padded_tensor(dual, _damping_block(dual, a)).entries
-    for i in range(L2.n):
+    for i in range(dual.n_base):
         for j in range(3):
             if embed(L2.rho2[i][j], dual) != damping[i][j]:
                 raise AssertionError(
@@ -784,30 +781,17 @@ def structure_certifications(A: AlgebroidStructure) -> list[CheckResult]:
     """Structure-level certifications for any fiber-linear structure:
     fiberwise linearity of the assembled tensor and the lift/anchor
     compatibility identities over all basis-section pairs."""
-    return _structure_checks(A, _assemble_dual_tensor(A))
+    return _structure_checks(A, lambda_from_structure(A))
 
 
-def _structure_checks(A: AlgebroidStructure, L: DualChartTensor) -> list[CheckResult]:
-    """``structure_certifications`` against the assembled, uncertified tensor ``L`` of ``A``."""
-    ok_linear, reason = L.certify_linear()
-    results = [CheckResult("fiberwise-linearity", ok_linear, detail=reason)]
-    if not ok_linear:
+def _structure_checks(A: AlgebroidStructure, T: TensorField2) -> list[CheckResult]:
+    """``structure_certifications`` against the assembled tensor ``T`` of ``A``."""
+    reason = fiber_linearity_defect(T)
+    results = [CheckResult("fiberwise-linearity", not reason, detail=reason)]
+    if reason:
         skipped = "not checked: the assembled tensor is not fiberwise linear"
         return results + [CheckResult("structure-tensor-compatibility", False, detail=skipped)]
-    base = A.base_chart
-    # x1*x2, or x1^2 over a one-variable base
-    f = Poly.var(base, base.names[0]) * Poly.var(base, base.names[min(1, base.dim - 1)])
-    sections = [Section.basis(base, A.m, i) for i in range(A.m)]
-    lifts = [lift_section(A, s) for s in sections]
-    ok_anchors = all(
-        r.is_zero for s, l in zip(sections, lifts) for r in _anchor_residuals(A, L.tensor, s, l, f)
-    )
-    ok_brackets = all(
-        _bracket_lift_residual(A, L.tensor, s1, s2, l1, l2).is_zero
-        for s1, l1 in zip(sections, lifts)
-        for s2, l2 in zip(sections, lifts)
-    )
-    results.append(CheckResult("structure-tensor-compatibility", ok_anchors and ok_brackets))
+    results.append(CheckResult("structure-tensor-compatibility", basis_compatible(A, T)))
     return results
 
 
@@ -831,8 +815,8 @@ def entry_certifications(entry: CatalogEntry) -> list[CheckResult]:
         results.extend(structure_certifications(entry.structure))
     elif entry.kind == "metriplectic_algebroid":
         A1, L2 = entry.structure
-        L1 = _assemble_dual_tensor(A1)
-        results.extend(_structure_checks(A1, L1))
+        T1 = lambda_from_structure(A1)
+        results.extend(_structure_checks(A1, T1))
         h1 = entry.hamiltonians["h1"]
         h2 = entry.hamiltonians["h2"]
         results.append(CheckResult("partner-symmetric", L2.is_symmetric()))
@@ -843,7 +827,7 @@ def entry_certifications(entry: CatalogEntry) -> list[CheckResult]:
             )
         )
         check = "annihilation:first-structure:second-generator"
-        residuals = annihilator_residuals(L1.tensor, h2, slot="first")
+        residuals = annihilator_residuals(T1, h2, slot="first")
         bad = sorted(comp for comp, res in residuals.items() if not res.is_zero)
         known = _recorded_misprints(entry, check, residuals)
         results.append(

@@ -255,9 +255,8 @@ def _verify_structure_file(path: Path, args: argparse.Namespace) -> int:
     else:
         print(f"structure file: {path}")
         print(f"  classification: {classify_algebroid(structure)}")
-        for c in checks:
-            verdict = "pass" if c.passed else f"FAIL ({c.detail})"
-            print(f"  certification {c.name}: {verdict}")
+        for line in _check_lines(checks, "certification", strict=False):
+            print(line)
         print(f"  result: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
 

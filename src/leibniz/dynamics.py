@@ -32,6 +32,7 @@ from .algebroid import AlgebroidStructure, Prop4DualTensor
 from .brackets import (
     MetriplecticPair,
     TensorField2,
+    VectorFieldPoly,
     almost_leibniz_vf,
     hamiltonian_vf,
 )
@@ -277,10 +278,7 @@ def lie_derivative(system: OdeSystem, f: Poly) -> Poly:
     """Exact derivative of ``f`` along the flow: sum_mu rhs_mu * df/dmu."""
     if f.chart != system.chart:
         raise ChartMismatchError("observable chart does not match the system chart")
-    return _poly_sum(
-        system.chart,
-        (comp * f.diff(name) for name, comp in zip(system.chart.names, system.rhs)),
-    )
+    return VectorFieldPoly(system.chart, system.rhs).apply_to(f)
 
 
 @dataclass(frozen=True)

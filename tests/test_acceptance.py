@@ -198,8 +198,8 @@ def test_criterion_4_identity_suites():
         assert check_pair_scaling(P, g, f, scale, h1, h2).passed
 
     # same two rules for a pair of fiber-linear structure tensors on one dual chart
-    L_top = lambda_from_structure(catalog_build("rigid-body-algebroid").structure).tensor
-    L_mb = lambda_from_structure(catalog_build("maxwell-bloch-algebroid").structure).tensor
+    L_top = lambda_from_structure(catalog_build("rigid-body-algebroid").structure)
+    L_mb = lambda_from_structure(catalog_build("maxwell-bloch-algebroid").structure)
     dual = L_top.chart
     assert dual == L_mb.chart
     for _ in range(50):
@@ -248,7 +248,7 @@ def test_criterion_4_identity_suites():
 def test_criterion_5a_antisymmetric_part_annihilates_pairing():
     entry = catalog_build("rigid-body-metriplectic-algebroid")
     A1, _L2 = entry.structure
-    L1 = lambda_from_structure(A1).tensor
+    L1 = lambda_from_structure(A1)
     h2 = entry.hamiltonians["h2"]
     assert annihilator_check(L1, h2, slot="first")
     assert annihilator_check(L1, h2, slot="second")
@@ -259,7 +259,7 @@ def test_criterion_5a_residuals_are_the_recorded_ones():
     components vanish and the three fiber residuals match the data file."""
     entry = catalog_build("rigid-body-metriplectic-algebroid")
     A1, _L2 = entry.structure
-    L1 = lambda_from_structure(A1).tensor
+    L1 = lambda_from_structure(A1)
     residuals = annihilator_residuals(L1, entry.hamiltonians["h2"], slot="first")
     dual = entry.chart
     expected = {

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from leibniz.algebroid import (
     AlgebroidStructure,
     CertificationError,
-    DualChartTensor,
     NotLinearError,
     PolyFraction,
     Prop4DualTensor,
@@ -19,6 +18,7 @@ from leibniz.algebroid import (
     ZeroCoefficientError,
     classify_algebroid,
     fiber_linear_coefficients,
+    fiber_linearity_defect,
     lambda_from_structure,
     lift_section,
     prop4_construct_dual_tensor,
@@ -111,7 +111,7 @@ def test_lift_module_linearity():
 
 def test_lambda_block_values():
     A = coupled_oscillator_structure()
-    T = lambda_from_structure(A).tensor
+    T = lambda_from_structure(A)
     dual = A.dual_chart
     pd = lambda s: parse_poly(dual, s)
     # chart order: x1 x2 x3 xi1 xi2 xi3
@@ -123,7 +123,7 @@ def test_lambda_block_values():
 
 def test_lambda_zero_structure():
     A = AlgebroidStructure.zero(BASE, 2)
-    T = lambda_from_structure(A).tensor
+    T = lambda_from_structure(A)
     assert all(
         T.entry(i, j).is_zero for i in range(5) for j in range(5)
     )
@@ -138,12 +138,12 @@ def test_tensor_round_trip():
     A = coupled_oscillator_structure()
     L = lambda_from_structure(A)
     L2 = lambda_from_structure(structure_from_lambda(L))
-    assert L2.tensor == L.tensor
+    assert L2 == L
 
 
 def test_not_linear_base_block():
     A = spin_top_structure()
-    T = lambda_from_structure(A).tensor
+    T = lambda_from_structure(A)
     entries = [list(row) for row in T.entries]
     entries[0][1] = parse_poly(A.dual_chart, "x1")  # nonzero base-base entry
     with pytest.raises(NotLinearError, match="base-base"):
@@ -152,7 +152,7 @@ def test_not_linear_base_block():
 
 def test_not_linear_quadratic_fiber_entry():
     A = spin_top_structure()
-    T = lambda_from_structure(A).tensor
+    T = lambda_from_structure(A)
     entries = [list(row) for row in T.entries]
     entries[3][4] = parse_poly(A.dual_chart, "x1^2*xi1 + xi2^2")
     with pytest.raises(NotLinearError, match="fiber degree 1"):
@@ -161,7 +161,7 @@ def test_not_linear_quadratic_fiber_entry():
 
 def test_not_linear_anchor_entry():
     A = spin_top_structure()
-    T = lambda_from_structure(A).tensor
+    T = lambda_from_structure(A)
     entries = [list(row) for row in T.entries]
     entries[0][3] = parse_poly(A.dual_chart, "xi1")
     with pytest.raises(NotLinearError, match="anchor entry"):
@@ -446,23 +446,24 @@ _coeffs = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denomi
 
 
 @st.composite
-def base_polys(draw, max_deg=2):
-    p = Poly.zero(BASE)
+def base_polys(draw, max_deg=2, base=BASE):
+    p = Poly.zero(base)
     for _ in range(draw(st.integers(0, 2))):
-        e = tuple(draw(st.integers(0, 1)) for _ in range(3))
+        e = tuple(draw(st.integers(0, 1)) for _ in range(base.dim))
         if sum(e) > max_deg:
-            e = (1, 0, 0)
-        p = p + Poly(BASE, {e: draw(_coeffs)})
+            e = (1,) + (0,) * (base.dim - 1)
+        p = p + Poly(base, {e: draw(_coeffs)})
     return p
 
 
 @st.composite
-def structures(draw, m=2):
-    n = 3
-    C = [[[draw(base_polys()) for _ in range(m)] for _ in range(m)] for _ in range(m)]
-    rho1 = [[draw(base_polys()) for _ in range(m)] for _ in range(n)]
-    rho2 = [[draw(base_polys()) for _ in range(m)] for _ in range(n)]
-    return AlgebroidStructure(BASE, m, C, rho1, rho2)
+def structures(draw, m=2, base=BASE):
+    n = base.dim
+    polys = base_polys(base=base)
+    C = [[[draw(polys) for _ in range(m)] for _ in range(m)] for _ in range(m)]
+    rho1 = [[draw(polys) for _ in range(m)] for _ in range(n)]
+    rho2 = [[draw(polys) for _ in range(m)] for _ in range(n)]
+    return AlgebroidStructure(base, m, C, rho1, rho2)
 
 
 @st.composite
@@ -476,6 +477,25 @@ def test_round_trip_property(A):
     assert structure_from_lambda(lambda_from_structure(A)) == A
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_assembled_tensor_is_fiber_linear(data):
+    # lambda_from_structure does not check its result; this is why it need not
+    base = data.draw(st.sampled_from([BASE, Chart.standard(1)]))
+    A = data.draw(structures(m=data.draw(st.integers(1, 3)), base=base))
+    assert fiber_linearity_defect(lambda_from_structure(A)) == ""
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+@pytest.mark.parametrize(
+    "name", ["maxwell-bloch-algebroid", "rigid-body-algebroid", "rigid-body-metriplectic-algebroid"]
+)
+def test_catalog_tensors_are_fiber_linear(name, symbolic):
+    entry = catalog_build(name, symbolic=symbolic)
+    A = entry.structure if entry.kind == "algebroid" else entry.structure[0]
+    assert fiber_linearity_defect(lambda_from_structure(A)) == ""
+
+
 @settings(max_examples=40, deadline=None)
 @given(structures(), sections(), sections(), base_polys())
 def test_certificates_property(A, s1, s2, f):
@@ -485,7 +505,7 @@ def test_certificates_property(A, s1, s2, f):
 @settings(max_examples=40, deadline=None)
 @given(structures(), sections(), sections())
 def test_lifted_bracket_is_fiber_linear(A, s1, s2):
-    T = lambda_from_structure(A).tensor
+    T = lambda_from_structure(A)
     value = bracket_apply(T, lift_section(A, s1), lift_section(A, s2))
     assert value.is_zero or value.fiber_degree() <= 1
 
@@ -493,7 +513,7 @@ def test_lifted_bracket_is_fiber_linear(A, s1, s2):
 @settings(max_examples=30, deadline=None)
 @given(structures(m=3), sections(m=3), sections(m=3))
 def test_lift_intertwines_brackets(A, s1, s2):
-    T = lambda_from_structure(A).tensor
+    T = lambda_from_structure(A)
     lhs = lift_section(A, section_bracket(A, s1, s2))
     rhs = bracket_apply(T, lift_section(A, s1), lift_section(A, s2))
     assert lhs == rhs

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from leibniz import catalog
-from leibniz.algebroid import AlgebroidStructure, DualChartTensor, structure_from_json
+from leibniz.algebroid import AlgebroidStructure, structure_from_json
 from leibniz.brackets import TensorField2
 from leibniz.catalog import (
     ENTRY_NAMES,
@@ -264,16 +264,16 @@ class TestCertifications:
 
     @pytest.mark.parametrize("name", ["maxwell-bloch-algebroid", "rigid-body-metriplectic-algebroid"])
     def test_nonlinear_tensor_is_a_failed_check(self, name, monkeypatch):
-        assemble = catalog._assemble_dual_tensor
+        assemble = catalog.lambda_from_structure
 
         def nonlinear(A):
-            L = assemble(A)
-            n, chart = L.n, L.tensor.chart
-            entries = [list(row) for row in L.tensor.entries]
+            T = assemble(A)
+            n, chart = A.n, T.chart
+            entries = [list(row) for row in T.entries]
             entries[n][n + 1] = parse_poly(chart, "xi1*xi2")
-            return DualChartTensor(TensorField2(chart, entries), L.n, L.m)
+            return TensorField2(chart, entries)
 
-        monkeypatch.setattr(catalog, "_assemble_dual_tensor", nonlinear)
+        monkeypatch.setattr(catalog, "lambda_from_structure", nonlinear)
         by_name = {c.name: c for c in entry_certifications(catalog_build(name))}
         linearity = by_name["fiberwise-linearity"]
         assert not linearity.passed and not linearity.whitelisted

@@ -112,6 +112,15 @@ class TestVerify:
         assert "  certification no-detail: FAIL" in lines
         assert "  certification with-detail: known discrepancy (why)" in lines
 
+    def test_failed_structure_file_certification_lines(self, capsys, monkeypatch):
+        # a structure file's certifications render like an entry's
+        certs = [CheckResult("no-detail", False), CheckResult("with-detail", False, detail="why")]
+        monkeypatch.setattr(cli, "structure_certifications", lambda structure: certs)
+        assert main(["verify", str(DATA / "rigid-body-algebroid-structure.json")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "  certification no-detail: FAIL" in lines
+        assert "  certification with-detail: FAIL (why)" in lines
+
 
 class TestSimulate:
     def test_csv_to_stdout(self, capsys):
@@ -169,6 +178,18 @@ class TestSimulate:
         assert main(argv) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header == "t,x1,x2,x3,a1,a2,a3"
+
+    def test_rk4_last_row_is_t_end(self, tmp_path, capsys):
+        # 700 steps of 0.7/700 sum to an ulp past 0.7
+        out = tmp_path / "orbit.csv"
+        argv = [
+            "simulate", "gradient-beltrami",
+            "--method", "rk4", "--step", "1e-3", "--t-end", "0.7", "-o", str(out),
+        ]
+        assert main(argv) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 702
+        assert float(rows[-1].split(",")[0]) == 0.7
 
     def test_step_budget_enforced(self, capsys):
         argv = [

@@ -159,7 +159,7 @@ class TestRhsBuilders:
         A = oscillator_structure()
         h = parse_poly(A.dual_chart, "x2*xi2 + x3*xi3")
         direct = rhs_from_algebroid(A, h)
-        via_tensor = rhs_from_bracket(lambda_from_structure(A).tensor, h)
+        via_tensor = rhs_from_bracket(lambda_from_structure(A), h)
         assert direct.rhs == via_tensor.rhs
 
     def test_dual_path_equality_random(self):
@@ -175,7 +175,7 @@ class TestRhsBuilders:
             A = AlgebroidStructure(chart, 2, C, rho1, rho2)
             h = _rand_poly(A.dual_chart, rng, 2)
             direct = rhs_from_algebroid(A, h)
-            via_tensor = rhs_from_bracket(lambda_from_structure(A).tensor, h)
+            via_tensor = rhs_from_bracket(lambda_from_structure(A), h)
             assert direct.rhs == via_tensor.rhs
 
     def test_metriplectic_with_zeroed_second_part(self):
@@ -334,6 +334,22 @@ class TestIntegrate:
         assert traj.times[-1] == pytest.approx(10.0, abs=0, rel=0)
         assert traj.accepted == len(traj.times) - 1
         assert np.all(np.diff(traj.times) > 0)
+
+    def test_adaptive_last_step_lands_on_t_end(self):
+        # t + h for the step clipped to the end overshoots 0.82 by an ulp
+        sys = OdeSystem(X1, (Poly.zero(X1),), "zero")
+        traj = integrate(sys, [1.0], IntegratorConfig(method="rk45_adaptive", t_end=0.82, step=0.01))
+        assert traj.ok
+        assert traj.times[-1] == 0.82
+
+    def test_adaptive_takes_no_sliver_step(self):
+        # t + h for the step clipped to the end falls an ulp short of 7.7
+        times, _states, accepted, rejected, status = _kernels.dp54(
+            lambda y: (0.0,), [1.0], 7.7, 2.0892677351447664, 1e-10, 1e-10, 1000
+        )
+        assert status == _kernels.STATUS_OK
+        assert list(times) == [0.0, 2.0892677351447664, 7.7]
+        assert (accepted, rejected) == (2, 0)
 
     def test_adaptive_tolerance_consistency(self):
         ends = []
