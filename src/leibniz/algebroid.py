@@ -21,23 +21,22 @@ sections and ``basis_compatible`` for every pair of basis sections.
 Also here: the section bracket and its defining-identity certificates, exact
 classification (pre-Lie / symmetric / general), a constructor that derives a
 fiber-annihilating symmetric partner tensor from a fiberwise-linear
-Hamiltonian (certified, never assumed), exact polynomial fractions for the
-rational structure entries that construction produces, and a JSON structure
-file format.
+Hamiltonian (certified, never assumed), and a JSON structure file format.
+That partner's rational entries are :class:`PolyFraction` values: plain
+(numerator, denominator) pairs, compared by cross-multiplication, with no
+arithmetic of their own.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .brackets import IdentityCertificate, TensorField2, annihilator_residuals
 from .poly import (
     Chart,
     ChartMismatchError,
-    ExactDivisionError,
     Poly,
     _poly_sum,
     divide_exact,
@@ -68,38 +67,21 @@ class CertificationError(ValueError):
 
 
 class PolyFraction:
-    """Exact quotient of two polynomials on one chart.
+    """Exact quotient ``num / den`` of two polynomials on one chart.
 
-    No canonical form is maintained beyond two cheap normalisations: a zero
-    numerator gets the denominator 1, and so does a denominator that divides
-    the numerator exactly.  Equality is decided by exact cross-multiplication,
-    and conversion to Poly performs exact division.
+    A plain pair: no arithmetic and no normal form.  Equality is decided by
+    exact cross-multiplication, and :meth:`to_poly` performs exact division.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | int = 1):
-        if isinstance(den, (int, Fraction)):
-            den = Poly.const(num.chart, den)
+    def __init__(self, num: Poly, den: Poly | None = None):
+        if den is None:
+            den = Poly.const(num.chart, 1)
         if num.chart != den.chart:
             raise ChartMismatchError("fraction parts on different charts")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        # a zero numerator, or a denominator that divides out exactly, leaves
-        # the denominator 1
-        if num.is_zero:
-            den = Poly.const(num.chart, 1)
-        elif den.degree() == 0:
-            scale = den.constant_term()
-            if scale != 1:
-                num = num * (Fraction(1) / scale)
-                den = Poly.const(num.chart, 1)
-        else:
-            try:
-                num = divide_exact(num, den)
-                den = Poly.const(num.chart, 1)
-            except ExactDivisionError:
-                pass
         self.num = num
         self.den = den
 
@@ -111,52 +93,10 @@ class PolyFraction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def _coerce(self, other) -> "PolyFraction | None":
-        if isinstance(other, PolyFraction):
-            return other
-        if isinstance(other, Poly):
-            return PolyFraction(other)
-        if isinstance(other, (int, Fraction)):
-            return PolyFraction(Poly.const(self.chart, other))
-        return None
-
-    def __add__(self, other) -> "PolyFraction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == other.den:
-            return PolyFraction(self.num + other.num, self.den)
-        return PolyFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PolyFraction":
-        return PolyFraction(-self.num, self.den)
-
-    def __sub__(self, other) -> "PolyFraction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "PolyFraction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return PolyFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, PolyFraction):
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero
-
-    def __hash__(self):
-        raise TypeError("PolyFraction is unhashable (no canonical form)")
 
     def to_poly(self) -> Poly:
         """Exact conversion; raises ExactDivisionError if not polynomial."""
@@ -165,6 +105,8 @@ class PolyFraction:
         return divide_exact(self.num, self.den)
 
     def __str__(self) -> str:
+        if self.num.is_zero:
+            return "0"
         if self.den == Poly.const(self.chart, 1):
             return str(self.num)
         return f"({self.num})/({self.den})"
@@ -361,13 +303,21 @@ def _fiber_linear_decompose(p: Poly, n: int, m: int) -> list[Poly]:
 
 
 def structure_from_lambda(T: TensorField2) -> AlgebroidStructure:
-    """Read (C, rho1, rho2) back off a fiberwise-linear dual-chart tensor."""
-    reason = fiber_linearity_defect(T)
-    if reason:
-        raise NotLinearError(reason)
+    """Read (C, rho1, rho2) back off a fiberwise-linear dual-chart tensor.
+
+    ``T`` must live on ``dual_chart_for(base, m)``: a structure names its
+    fiber coordinates xi1..xim, so other names would not survive the round trip.
+    """
     chart = T.chart
     n, m = chart.n_base, chart.n_fiber
     base = chart.base_only()
+    if chart != dual_chart_for(base, m):
+        raise ChartMismatchError(
+            f"fiber coordinates must be named xi1..xi{m}, got {', '.join(chart.fiber)}"
+        )
+    reason = fiber_linearity_defect(T)
+    if reason:
+        raise NotLinearError(reason)
     rho1 = [[restrict(T.entry(n + a, i), base) for a in range(m)] for i in range(n)]
     rho2 = [[restrict(-T.entry(i, n + a), base) for a in range(m)] for i in range(n)]
     C = [[_fiber_linear_decompose(T.entry(n + a, n + b), n, m) for b in range(m)] for a in range(m)]
@@ -547,7 +497,8 @@ class Prop4DualTensor:
     is the polynomial tensor ``anchors``, with +rho2 in both anchor blocks
     (the right-anchor slot holds -rho2, making the tensor symmetric) and a
     zero fiber-fiber block.  Brackets and residuals are ``anchors``
-    contracted by :mod:`~leibniz.brackets`, plus the diagonal terms.  By
+    contracted by :mod:`~leibniz.brackets`, plus the diagonal terms, each
+    quotient written out as one (numerator, denominator) pair.  By
     construction the tensor annihilates h1 in either slot; construction
     fails rather than return an uncertified tensor.
     """
@@ -566,26 +517,31 @@ class Prop4DualTensor:
         self.anchors = TensorField2(dual_chart, rows)
 
     def bracket_fraction(self, f: Poly, h: Poly) -> PolyFraction:
-        """Exact [f, h] for this tensor, as a PolyFraction."""
-        value = PolyFraction(self.anchors.apply(f, h))
+        """Exact [f, h] for this tensor, as a PolyFraction.
+
+        The reference route: the diagonal terms c_a * df/dxi_a * dh/dxi_a are
+        summed over the product of the denominators that occur.
+        """
+        num, den = self.anchors.apply(f, h), Poly.const(self.dual_chart, 1)
         for c, name in zip(self.c_diag, self.dual_chart.fiber):
             df, dh = f.diff(name), h.diff(name)
             if not (df.is_zero or dh.is_zero):
-                value = value + c * (df * dh)
-        return value
+                num, den = num * c.den + c.num * df * dh * den, den * c.den
+        return PolyFraction(num, den)
 
     def annihilation_residuals(self, h: Poly, slot: str = "first") -> dict[str, PolyFraction]:
         """Bracket of h against every coordinate, h in the given slot.
 
         :func:`~leibniz.brackets.annihilator_residuals` of ``anchors``; the
-        diagonal adds ``c_diag[a] * dh/dxi_a`` at each ``xi_a``, in either slot.
+        diagonal adds ``c_diag[a] * dh/dxi_a`` at each ``xi_a``, in either
+        slot, so that residual is (c.num * dh/dxi_a + r * c.den) / c.den.
         """
         residuals = annihilator_residuals(self.anchors, h, slot)
         out = {name: PolyFraction(r) for name, r in residuals.items()}
         for c, name in zip(self.c_diag, self.dual_chart.fiber):
             dh = h.diff(name)
             if not dh.is_zero:
-                out[name] = c * dh + residuals[name]
+                out[name] = PolyFraction(c.num * dh + residuals[name] * c.den, c.den)
         return out
 
     def annihilates(self, h: Poly, slot: str = "first") -> bool:

@@ -177,13 +177,11 @@ def rhs_metriplectic_algebroid(
     """
     first = rhs_from_algebroid(antisymmetric_part, h1, provenance="")
     chart = first.chart
+    if symmetric_part.dual_chart != chart:
+        raise ChartMismatchError("the two structures live on different dual charts")
     if isinstance(symmetric_part, Prop4DualTensor):
-        if symmetric_part.dual_chart != chart:
-            raise ChartMismatchError("the two structures live on different dual charts")
         second = symmetric_part.vf_contrib(h2)
     else:
-        if symmetric_part.dual_chart != chart:
-            raise ChartMismatchError("the two structures live on different dual charts")
         second = rhs_from_algebroid(symmetric_part, h2, provenance="").rhs
     total = tuple(p + q for p, q in zip(first.rhs, second))
     return OdeSystem(chart, total, provenance)

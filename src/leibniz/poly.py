@@ -21,9 +21,9 @@ syntax for polynomials is the one used throughout the package::
 Decimal literals are parsed as exact rationals (``0.6`` becomes ``3/5``).
 
 Out of scope by design: rational functions, transcendental coefficients and
-Groebner-style normal forms.  Products that would exceed the degree cap
-(default 16, see :func:`set_degree_cap`) raise :class:`DegreeCapError` to
-fail fast on runaway expression growth.
+Groebner-style normal forms.  Products whose total degree would exceed the
+fixed cap of 16 raise :class:`DegreeCapError` to fail fast on runaway
+expression growth.
 """
 
 from __future__ import annotations
@@ -46,23 +46,11 @@ class ChartMismatchError(ValueError):
 
 
 class DegreeCapError(ArithmeticError):
-    """Raised when a product would exceed the configured degree cap."""
+    """Raised when a product would exceed the degree cap."""
 
 
 class PolyParseError(ValueError):
     """Raised for malformed polynomial text."""
-
-
-def set_degree_cap(cap: int) -> None:
-    """Set the global total-degree cap checked by multiplication."""
-    global _DEGREE_CAP
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
-    _DEGREE_CAP = cap
-
-
-def get_degree_cap() -> int:
-    return _DEGREE_CAP
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibniz import poly
 from leibniz.poly import (
     Chart,
     ChartMismatchError,
@@ -15,11 +16,9 @@ from leibniz.poly import (
     divide_exact,
     embed,
     format_poly,
-    get_degree_cap,
     grad,
     parse_poly,
     restrict,
-    set_degree_cap,
 )
 
 C3 = Chart.standard(3)
@@ -183,17 +182,13 @@ def test_fiber_degree():
 # -- degree cap ----------------------------------------------------------------
 
 
-def test_degree_cap_enforced():
-    cap = get_degree_cap()
+def test_degree_cap_enforced(monkeypatch):
     p = P("x1^8 + 1")
     with pytest.raises(DegreeCapError):
         p * p * p  # degree 24 > 16
-    set_degree_cap(32)
-    try:
-        q = p * p * p
-        assert q.degree() == 24
-    finally:
-        set_degree_cap(cap)
+    monkeypatch.setattr(poly, "_DEGREE_CAP", 32)
+    q = p * p * p
+    assert q.degree() == 24
 
 
 # -- property tests ------------------------------------------------------------
