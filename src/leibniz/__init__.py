@@ -33,14 +33,11 @@ from .algebroid import (
 from .brackets import (
     MetriplecticPair,
     TensorField2,
-    VectorFieldPoly,
     almost_leibniz_vf,
     annihilator_check,
     annihilator_residuals,
-    bracket_apply,
     hamiltonian_vf,
     prop2_equivalence_check,
-    symmetry_classify,
 )
 from .catalog import (
     CatalogEntry,
@@ -65,28 +62,24 @@ from .dynamics import (
     trajectory_to_csv,
     trajectory_to_json,
 )
-from .poly import Chart, Poly, embed, format_poly, grad, parse_poly, restrict
+from .poly import Chart, Poly, embed, grad, parse_poly, restrict
 
 __all__ = [
     # poly
     "Chart",
     "Poly",
     "parse_poly",
-    "format_poly",
     "embed",
     "restrict",
     "grad",
     # brackets
     "TensorField2",
     "MetriplecticPair",
-    "VectorFieldPoly",
-    "bracket_apply",
     "hamiltonian_vf",
     "almost_leibniz_vf",
     "annihilator_check",
     "annihilator_residuals",
     "prop2_equivalence_check",
-    "symmetry_classify",
     # algebroid
     "AlgebroidStructure",
     "Section",

@@ -357,33 +357,13 @@ def section_bracket(A: AlgebroidStructure, s1: Section, s2: Section) -> Section:
     return Section(base, tuple(comps))
 
 
-@dataclass(frozen=True)
-class StructureTensorCertificate:
-    """Exact pass/fail for the three structure-tensor compatibility identities."""
-
-    bracket_lift: IdentityCertificate
-    left_anchor: IdentityCertificate
-    right_anchor: IdentityCertificate
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.bracket_lift and self.left_anchor and self.right_anchor)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def items(self):
-        return (
-            ("bracket-lift", self.bracket_lift),
-            ("left-anchor", self.left_anchor),
-            ("right-anchor", self.right_anchor),
-        )
-
-
 def theorem1_check(
     A: AlgebroidStructure, s1: Section, s2: Section, f: Poly
-) -> StructureTensorCertificate:
+) -> tuple[IdentityCertificate, IdentityCertificate, IdentityCertificate]:
     """Certify the structure <-> tensor compatibility identities exactly.
+
+    Returns the bracket-lift, left-anchor and right-anchor certificates;
+    ``all`` of them is the verdict.
 
     bracket-lift: lift[s1, s2] = T(d lift s1, d lift s2)
     left-anchor:  T(d lift s, d f~) = (rho1(s) f)~ for the base function f
@@ -396,7 +376,7 @@ def theorem1_check(
     l1 = lift_section(A, s1)
     r_bracket = _bracket_lift_residual(A, T, s1, s2, l1, lift_section(A, s2))
     r_left, r_right = _anchor_residuals(A, T, s1, l1, f)
-    return StructureTensorCertificate(
+    return (
         IdentityCertificate("bracket-lift", r_bracket.is_zero, r_bracket),
         IdentityCertificate("left-anchor", r_left.is_zero, r_left),
         IdentityCertificate(

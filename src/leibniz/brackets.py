@@ -8,14 +8,15 @@ entries over one chart.  It generates the bracket
 with the row index in the first slot.  On top of that sit Hamiltonian vector
 fields, two-Hamiltonian (almost-Leibniz) vector fields built from a pair of
 tensors, exact derivation-identity certificates, annihilator tests and the
-single-generator equivalence check for such pairs.  Everything here is exact:
-a certificate passes only when its residual is the zero polynomial.
+single-generator equivalence check for such pairs.  A vector field is the
+tuple of its polynomial components in chart order, the right-hand side that
+``dynamics.OdeSystem`` takes.  Everything here is exact: a certificate passes
+only when its residual is the zero polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .poly import Chart, ChartMismatchError, Poly, _poly_sum, grad, poly_matrix
@@ -122,34 +123,6 @@ class TensorField2:
         return General
 
 
-def bracket_apply(tensor: TensorField2, f: Poly, h: Poly) -> Poly:
-    return tensor.apply(f, h)
-
-
-@dataclass(frozen=True)
-class VectorFieldPoly:
-    """A vector field with one polynomial component per chart variable."""
-
-    chart: Chart
-    components: tuple[Poly, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.chart.dim:
-            raise ValueError("one component per chart variable required")
-
-    def apply_to(self, f: Poly) -> Poly:
-        """Directional derivative X(f) = sum_i X^i d_i f."""
-        return _poly_sum(
-            self.chart,
-            (comp * f.diff(name) for name, comp in zip(self.chart.names, self.components)),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorFieldPoly):
-            return NotImplemented
-        return self.chart == other.chart and self.components == other.components
-
-
 class MetriplecticPair:
     """A certified (antisymmetric P, symmetric g) pair of tensor fields."""
 
@@ -178,20 +151,16 @@ def _contract(chart: Chart, lines, dh: Sequence[Poly]) -> tuple[Poly, ...]:
     )
 
 
-def hamiltonian_vf(tensor: TensorField2, h: Poly) -> VectorFieldPoly:
+def hamiltonian_vf(tensor: TensorField2, h: Poly) -> tuple[Poly, ...]:
     """Vector field with component_i = [coordinate_i, h]."""
     if h.chart != tensor.chart:
         raise ChartMismatchError("Hamiltonian must share the tensor's chart")
-    return VectorFieldPoly(tensor.chart, _contract(tensor.chart, tensor.entries, grad(h)))
+    return _contract(tensor.chart, tensor.entries, grad(h))
 
 
-def almost_leibniz_vf(pair: MetriplecticPair, h1: Poly, h2: Poly) -> VectorFieldPoly:
+def almost_leibniz_vf(pair: MetriplecticPair, h1: Poly, h2: Poly) -> tuple[Poly, ...]:
     """Two-Hamiltonian vector field: component_i = P(dx_i, dh1) + g(dx_i, dh2)."""
-    a = hamiltonian_vf(pair.P, h1)
-    b = hamiltonian_vf(pair.g, h2)
-    return VectorFieldPoly(
-        pair.chart, tuple(x + y for x, y in zip(a.components, b.components))
-    )
+    return tuple(x + y for x, y in zip(hamiltonian_vf(pair.P, h1), hamiltonian_vf(pair.g, h2)))
 
 
 # -- identity certificates ---------------------------------------------------
@@ -254,11 +223,6 @@ def check_pair_scaling(
     )
 
 
-def symmetry_classify(tensor: TensorField2) -> str:
-    """Exact symmetry class of a tensor: antisymmetric, symmetric, or general."""
-    return tensor.symmetry_classify()
-
-
 # -- annihilators and the single-generator equivalence -----------------------
 
 
@@ -312,5 +276,5 @@ def prop2_equivalence_check(pair: MetriplecticPair, h1: Poly, h2: Poly) -> Equiv
         )
     combined = hamiltonian_vf(pair.P + pair.g, h1 + h2)
     split = almost_leibniz_vf(pair, h1, h2)
-    residuals = tuple(a - b for a, b in zip(split.components, combined.components))
+    residuals = tuple(a - b for a, b in zip(split, combined))
     return EquivalenceCertificate(all(r.is_zero for r in residuals), (), residuals)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -591,24 +591,46 @@ class CheckResult:
     whitelisted: bool = False
     detail: str = ""
 
+    def line(self, label: str, strict: bool = False) -> str:
+        """Report line headed by ``label`` (``check`` or ``certification``)."""
+        if self.passed:
+            return f"  {label} {self.name}: pass"
+        mark = "known discrepancy" if self.whitelisted and not strict else "FAIL"
+        return f"  {label} {self.name}: {mark}" + (f" ({self.detail})" if self.detail else "")
+
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """Reference diffs and cross-checks of one entry, plus its certifications
+    when the caller attaches them (``entry_certifications``)."""
+
     entry: str
     diffs: tuple[ComponentDiff, ...]
     checks: tuple[CheckResult, ...] = ()
+    certifications: tuple[CheckResult, ...] = ()
+
+    def _verdict(self, strict: bool, certifications: bool) -> bool:
+        """Each diff and check, and each certification if asked, passes or is
+        whitelisted and not ``strict``."""
+        checks = self.checks + self.certifications if certifications else self.checks
+        outcomes = [(d.matches, d.whitelisted) for d in self.diffs]
+        outcomes += [(c.passed, c.whitelisted) for c in checks]
+        return all(passed or (whitelisted and not strict) for passed, whitelisted in outcomes)
 
     @property
     def clean(self) -> bool:
-        """Everything matches exactly, whitelist ignored (strict reading)."""
-        return all(d.matches for d in self.diffs) and all(c.passed for c in self.checks)
+        """Diffs and checks match exactly, whitelist ignored (strict reading)."""
+        return self._verdict(strict=True, certifications=False)
 
     @property
     def clean_modulo_known(self) -> bool:
-        """Everything matches except documented, whitelisted discrepancies."""
-        return all(d.matches or d.whitelisted for d in self.diffs) and all(
-            c.passed or c.whitelisted for c in self.checks
-        )
+        """Diffs and checks match except documented, whitelisted discrepancies."""
+        return self._verdict(strict=False, certifications=False)
+
+    def ok(self, strict: bool = False) -> bool:
+        """The entry's verdict: diffs, checks and certifications all pass, the
+        whitelisted ones excepted unless ``strict``."""
+        return self._verdict(strict, certifications=True)
 
     def lines(self, strict: bool = False) -> list[str]:
         out = [f"entry: {self.entry}"]
@@ -618,9 +640,11 @@ class VerifyReport:
             else:
                 mark = "known misprint" if d.whitelisted and not strict else "MISMATCH"
                 out.append(f"  {d.component}: {mark}; derived - reference = {d.residual}")
-        return out + _check_lines(self.checks, "check", strict)
+        out += [c.line("check", strict) for c in self.checks]
+        out += [c.line("certification", strict) for c in self.certifications]
+        return out + [f"  result: {'ok' if self.ok(strict) else 'FAILED'}"]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, strict: bool = False) -> dict:
         return {
             "entry": self.entry,
             "clean": self.clean,
@@ -634,28 +658,10 @@ class VerifyReport:
                 }
                 for d in self.diffs
             ],
-            "checks": _check_records(self.checks),
+            "checks": [asdict(c) for c in self.checks],
+            "certifications": [asdict(c) for c in self.certifications],
+            "ok": self.ok(strict),
         }
-
-
-def _check_lines(checks: Sequence[CheckResult], label: str, strict: bool) -> list[str]:
-    """Report lines for ``checks``, each headed by ``label`` (``check`` or ``certification``)."""
-    out = []
-    for c in checks:
-        if c.passed:
-            out.append(f"  {label} {c.name}: pass")
-        else:
-            mark = "known discrepancy" if c.whitelisted and not strict else "FAIL"
-            out.append(f"  {label} {c.name}: {mark}" + (f" ({c.detail})" if c.detail else ""))
-    return out
-
-
-def _check_records(checks: Sequence[CheckResult]) -> list[dict]:
-    """JSON records for ``checks``."""
-    return [
-        {"name": c.name, "passed": c.passed, "whitelisted": c.whitelisted, "detail": c.detail}
-        for c in checks
-    ]
 
 
 @functools.cache

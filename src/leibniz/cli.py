@@ -21,6 +21,7 @@ first call and reused, and no call sees the flags of an earlier one.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -34,8 +35,7 @@ from .catalog import (
     CatalogEntry,
     ParameterError,
     UnknownEntryError,
-    _check_lines,
-    _check_records,
+    VerifyReport,
     catalog_build,
     catalog_list,
     catalog_verify,
@@ -206,11 +206,7 @@ def _build_entry(name: str, args: argparse.Namespace) -> CatalogEntry:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    try:
-        rows = catalog_list()
-    except Exception as exc:  # surface install breakage as a diagnostic, not a traceback
-        print(f"error: catalog unavailable: {exc}", file=sys.stderr)
-        return 1
+    rows = catalog_list()
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
@@ -222,20 +218,10 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_one(name: str, args: argparse.Namespace) -> tuple[bool, dict, list[str]]:
+def _verify_one(name: str, args: argparse.Namespace) -> VerifyReport:
     entry = _build_entry(name, args)
     report = catalog_verify(entry)
-    certs = entry_certifications(entry)
-    if args.strict:
-        ok = report.clean and all(c.passed for c in certs)
-    else:
-        ok = report.clean_modulo_known and all(c.passed or c.whitelisted for c in certs)
-    lines = report.lines(strict=args.strict) + _check_lines(certs, "certification", args.strict)
-    lines.append(f"  result: {'ok' if ok else 'FAILED'}")
-    doc = report.to_dict()
-    doc["certifications"] = _check_records(certs)
-    doc["ok"] = ok
-    return ok, doc, lines
+    return dataclasses.replace(report, certifications=tuple(entry_certifications(entry)))
 
 
 def _verify_structure_file(path: Path, args: argparse.Namespace) -> int:
@@ -255,8 +241,8 @@ def _verify_structure_file(path: Path, args: argparse.Namespace) -> int:
     else:
         print(f"structure file: {path}")
         print(f"  classification: {classify_algebroid(structure)}")
-        for line in _check_lines(checks, "certification", strict=False):
-            print(line)
+        for c in checks:
+            print(c.line("certification"))
         print(f"  result: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
 
@@ -277,11 +263,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
     docs = []
     for name in names:
-        ok, doc, lines = _verify_one(name, args)
-        all_ok = all_ok and ok
-        docs.append(doc)
+        report = _verify_one(name, args)
+        all_ok = all_ok and report.ok(args.strict)
+        docs.append(report.to_dict(args.strict))
         if not args.json:
-            print("\n".join(lines))
+            print("\n".join(report.lines(args.strict)))
     if args.json:
         print(json.dumps({"ok": all_ok, "entries": docs}, indent=2, sort_keys=True))
     return 0 if all_ok else 1

@@ -6,7 +6,8 @@ right-hand sides, compiles each system once into a generated straight-line
 float evaluator (``poly.float_evaluator``), and integrates it with either a
 fixed-step RK4 scheme or an adaptive Dormand-Prince 5(4) scheme.  The
 stepping loops live in ``_kernels``, one scalar-Python implementation per
-method.
+method.  A vector field is the tuple of its polynomial components in chart
+order, the shape of ``OdeSystem.rhs``.
 
 Observables are tracked symbolically first: ``lie_derivative`` computes the
 exact polynomial derivative of an observable along the flow, so tests can
@@ -29,13 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .algebroid import AlgebroidStructure, Prop4DualTensor
-from .brackets import (
-    MetriplecticPair,
-    TensorField2,
-    VectorFieldPoly,
-    almost_leibniz_vf,
-    hamiltonian_vf,
-)
+from .brackets import MetriplecticPair, TensorField2, almost_leibniz_vf, hamiltonian_vf
 from .poly import Chart, ChartMismatchError, Poly, _poly_sum, embed, float_evaluator
 
 __all__ = [
@@ -114,14 +109,14 @@ class OdeSystem:
 
 def rhs_from_bracket(tensor: TensorField2, h: Poly, provenance: str = "bracket") -> OdeSystem:
     """System generated by one function through a bracket tensor."""
-    return OdeSystem(tensor.chart, hamiltonian_vf(tensor, h).components, provenance)
+    return OdeSystem(tensor.chart, hamiltonian_vf(tensor, h), provenance)
 
 
 def rhs_from_pair(
     pair: MetriplecticPair, h1: Poly, h2: Poly, provenance: str = "pair"
 ) -> OdeSystem:
     """System generated by two functions through an antisymmetric/symmetric pair."""
-    return OdeSystem(pair.chart, almost_leibniz_vf(pair, h1, h2).components, provenance)
+    return OdeSystem(pair.chart, almost_leibniz_vf(pair, h1, h2), provenance)
 
 
 def rhs_from_algebroid(
@@ -276,7 +271,9 @@ def lie_derivative(system: OdeSystem, f: Poly) -> Poly:
     """Exact derivative of ``f`` along the flow: sum_mu rhs_mu * df/dmu."""
     if f.chart != system.chart:
         raise ChartMismatchError("observable chart does not match the system chart")
-    return VectorFieldPoly(system.chart, system.rhs).apply_to(f)
+    return _poly_sum(
+        system.chart, (comp * f.diff(name) for name, comp in zip(system.chart.names, system.rhs))
+    )
 
 
 @dataclass(frozen=True)

@@ -221,9 +221,6 @@ class Poly:
     def coefficient(self, exponent: Exponent) -> int | Fraction:
         return self._terms.get(tuple(exponent), 0)
 
-    def constant_term(self) -> int | Fraction:
-        return self._terms.get((0,) * self.chart.dim, 0)
-
     def leading_term(self) -> tuple[Exponent, int | Fraction]:
         """Graded-lex maximal term; raises on the zero polynomial."""
         if not self._terms:
@@ -596,10 +593,6 @@ def parse_poly(chart: Chart, text: str) -> Poly:
             exponent[idx] += power
         monomials.append(Poly(chart, {tuple(exponent): coeff}))
     return _poly_sum(chart, monomials)
-
-
-def format_poly(p: Poly) -> str:
-    return str(p)
 
 
 def poly_matrix(chart: Chart, rows: Sequence[Sequence[str | Poly | int]]) -> tuple[tuple[Poly, ...], ...]:

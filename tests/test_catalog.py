@@ -1,5 +1,6 @@
 """Tests for the built-in example catalog: builds, reference diffs, certifications."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from leibniz.brackets import TensorField2
 from leibniz.catalog import (
     ENTRY_NAMES,
     CatalogEntry,
+    CheckResult,
     ParameterError,
     UnknownEntryError,
     catalog_build,
@@ -216,6 +218,21 @@ class TestVerify:
         assert doc["entry"] == "rigid-body-metriplectic-algebroid"
         assert doc["clean"] is True
         assert {c["name"] for c in doc["checks"]} == {"base-flow-equals-damped-top"}
+
+    def test_verdict_counts_certifications(self):
+        # clean and clean_modulo_known read the diffs and checks only; ok adds
+        # the certifications, a whitelisted one passing unless strict
+        rep = catalog_verify("revised-rigid-body")
+        known = dataclasses.replace(rep, certifications=(CheckResult("c", False, True),))
+        failed = dataclasses.replace(rep, certifications=(CheckResult("c", False),))
+        assert rep.ok(strict=True) and known.ok() and not known.ok(strict=True)
+        assert not failed.ok() and failed.clean
+        assert known.lines()[-2:] == ["  certification c: known discrepancy", "  result: ok"]
+        assert known.lines(strict=True)[-2:] == ["  certification c: FAIL", "  result: FAILED"]
+        assert known.to_dict()["ok"] and not known.to_dict(strict=True)["ok"]
+        assert failed.to_dict()["certifications"] == [
+            {"name": "c", "passed": False, "whitelisted": False, "detail": ""}
+        ]
 
 
 class TestSymbolic:
