@@ -17,14 +17,15 @@ That correspondence (Theorem 1) is one plain ``TensorField2`` both ways:
 structure back off it, and ``fiber_linearity_defect`` is the one test of the
 layout.  ``theorem1_check`` certifies the compatibility identities for given
 sections and ``basis_compatible`` for every pair of basis sections.
+``classify_algebroid`` reads the class (pre-Lie / symmetric / general) off
+the tensor's symmetry class.
 
-Also here: the section bracket and its defining-identity certificates, exact
-classification (pre-Lie / symmetric / general), a constructor that derives a
-fiber-annihilating symmetric partner tensor from a fiberwise-linear
-Hamiltonian (certified, never assumed), and a JSON structure file format.
-That partner's rational entries are :class:`PolyFraction` values: plain
-(numerator, denominator) pairs, compared by cross-multiplication, with no
-arithmetic of their own.
+Also here: the section bracket and its defining-identity certificates, a
+constructor that derives a fiber-annihilating symmetric partner tensor from a
+fiberwise-linear Hamiltonian (certified, never assumed), and a JSON structure
+file format.  That partner's rational entries are :class:`PolyFraction`
+values: plain (numerator, denominator) pairs, compared by
+cross-multiplication, with no arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .brackets import IdentityCertificate, TensorField2, annihilator_residuals
+from .brackets import Antisymmetric, IdentityCertificate, TensorField2, annihilator_residuals
 from .poly import (
     Chart,
     ChartMismatchError,
@@ -100,8 +101,8 @@ class PolyFraction:
 
     def to_poly(self) -> Poly:
         """Exact conversion; raises ExactDivisionError if not polynomial."""
-        if self.num.is_zero:
-            return Poly.zero(self.chart)
+        if self.num.is_zero or self.den == Poly.const(self.chart, 1):
+            return self.num
         return divide_exact(self.num, self.den)
 
     def __str__(self) -> str:
@@ -429,33 +430,13 @@ def basis_compatible(A: AlgebroidStructure, T: TensorField2) -> bool:
 def classify_algebroid(A: AlgebroidStructure) -> str:
     """Exact classification: pre_lie, symmetric, or general.
 
-    pre_lie: C antisymmetric in (a, b) and rho1 == rho2.
-    symmetric: C symmetric in (a, b) and rho2 == -rho1.
-    Structures satisfying both (e.g. the zero structure) report pre_lie.
+    The symmetry class of ``lambda_from_structure(A)``.  By the block layout
+    the tensor is antisymmetric exactly when C is antisymmetric in (a, b) and
+    rho1 == rho2 (pre_lie), and symmetric exactly when C is symmetric in
+    (a, b) and rho2 == -rho1.  The zero structure, both at once, is pre_lie.
     """
-    c_anti = all(
-        (A.C[a][b][d] + A.C[b][a][d]).is_zero
-        for a in range(A.m)
-        for b in range(a, A.m)
-        for d in range(A.m)
-    )
-    c_sym = all(
-        (A.C[a][b][d] - A.C[b][a][d]).is_zero
-        for a in range(A.m)
-        for b in range(a + 1, A.m)
-        for d in range(A.m)
-    )
-    anchors_equal = A.rho1 == A.rho2
-    anchors_opposite = all(
-        (A.rho1[i][a] + A.rho2[i][a]).is_zero
-        for i in range(A.n)
-        for a in range(A.m)
-    )
-    if c_anti and anchors_equal:
-        return "pre_lie"
-    if c_sym and anchors_opposite:
-        return "symmetric"
-    return "general"
+    symmetry = lambda_from_structure(A).symmetry_classify()
+    return "pre_lie" if symmetry == Antisymmetric else symmetry
 
 
 # -- construction of a fiber-annihilating symmetric partner ---------------------

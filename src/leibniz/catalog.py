@@ -575,7 +575,6 @@ class ComponentDiff:
     reference: Poly
     residual: Poly
     whitelisted: bool = False
-    note: str = ""
 
     @property
     def matches(self) -> bool:
@@ -602,7 +601,8 @@ class CheckResult:
 @dataclass(frozen=True)
 class VerifyReport:
     """Reference diffs and cross-checks of one entry, plus its certifications
-    when the caller attaches them (``entry_certifications``)."""
+    when the caller attaches them (``entry_certifications``).  A structure
+    file's report holds its ``structure_certifications`` alone."""
 
     entry: str
     diffs: tuple[ComponentDiff, ...]
@@ -676,16 +676,16 @@ def known_misprints() -> list[dict[str, str]]:
     return [dict(record) for record in _misprint_records()]
 
 
-def _recorded_misprints(entry: CatalogEntry, check: str, residuals: Mapping[str, Poly]) -> dict[str, str]:
-    """component -> note for each nonzero residual of ``check`` on ``entry``
-    that the misprint data file records exactly."""
-    out = {}
+def _recorded_misprints(entry: CatalogEntry, check: str, residuals: Mapping[str, Poly]) -> set[str]:
+    """The components whose nonzero residual of ``check`` on ``entry`` the
+    misprint data file records exactly."""
+    out = set()
     zero = Poly.zero(entry.chart)
     for record in _misprint_records():
         if record["entry"] == entry.name and record["check"] == check:
             residual = residuals.get(record["component"], zero)
             if not residual.is_zero and residual == parse_poly(entry.chart, record["residual"]):
-                out[record["component"]] = record["note"]
+                out.add(record["component"])
     return out
 
 
@@ -719,7 +719,6 @@ def catalog_verify(
             reference=reference,
             residual=residuals[comp],
             whitelisted=comp in known,
-            note=known.get(comp, ""),
         )
         for comp, derived, reference in components
     ]

@@ -226,24 +226,20 @@ def _verify_one(name: str, args: argparse.Namespace) -> VerifyReport:
 
 def _verify_structure_file(path: Path, args: argparse.Namespace) -> int:
     structure = structure_from_json(path.read_text())
-    checks = structure_certifications(structure)
-    ok = all(c.passed for c in checks)
+    certifications = tuple(structure_certifications(structure))
+    report = VerifyReport(entry=str(path), diffs=(), certifications=certifications)
+    classification = classify_algebroid(structure)
+    ok = report.ok(args.strict)
     if args.json:
-        doc = {
-            "file": str(path),
-            "classification": classify_algebroid(structure),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-            ],
-            "ok": ok,
-        }
+        checks = report.to_dict(args.strict)["certifications"]
+        doc = {"file": str(path), "classification": classification, "checks": checks, "ok": ok}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
+        # the report's own header names an entry; a file gets its own
+        _entry_header, *body = report.lines(args.strict)
         print(f"structure file: {path}")
-        print(f"  classification: {classify_algebroid(structure)}")
-        for c in checks:
-            print(c.line("certification"))
-        print(f"  result: {'ok' if ok else 'FAILED'}")
+        print(f"  classification: {classification}")
+        print("\n".join(body))
     return 0 if ok else 1
 
 

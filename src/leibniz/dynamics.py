@@ -308,20 +308,17 @@ class ObservationReport:
         return tuple(rep.name for rep in self.reports)
 
 
-def _monotonicity(values: np.ndarray, tol: float) -> str:
+def _monotonicity(values: np.ndarray) -> str:
     diffs = np.diff(values)
-    if diffs.size == 0 or np.all(diffs <= tol):
+    if diffs.size == 0 or np.all(diffs <= MONOTONE_TOL):
         return "nonincreasing"
-    if np.all(diffs >= -tol):
+    if np.all(diffs >= -MONOTONE_TOL):
         return "nondecreasing"
     return "neither"
 
 
 def observe(
-    system: OdeSystem,
-    trajectory: Trajectory,
-    observables: Mapping[str, Poly],
-    tol: float = MONOTONE_TOL,
+    system: OdeSystem, trajectory: Trajectory, observables: Mapping[str, Poly]
 ) -> ObservationReport:
     """Sample observables along a trajectory and summarize their behavior.
 
@@ -347,7 +344,7 @@ def observe(
                     name=name,
                     values=values,
                     drift=drift,
-                    monotonicity=_monotonicity(values, tol),
+                    monotonicity=_monotonicity(values),
                     symbolically_constant=constant,
                 )
             )
@@ -381,13 +378,13 @@ def trajectory_to_json(
         "status": trajectory.status,
         "accepted": trajectory.accepted,
         "rejected": trajectory.rejected,
-        "times": [float(t) for t in trajectory.times],
-        "states": [[float(v) for v in row] for row in trajectory.states],
+        "times": trajectory.times.tolist(),
+        "states": trajectory.states.tolist(),
     }
     if observations is not None:
         doc["observables"] = {
             rep.name: {
-                "values": [float(v) for v in rep.values],
+                "values": rep.values.tolist(),
                 "drift": rep.drift,
                 "monotonicity": rep.monotonicity,
                 "symbolically_constant": rep.symbolically_constant,

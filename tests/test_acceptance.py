@@ -17,7 +17,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from leibniz.algebroid import (
@@ -39,6 +38,7 @@ from leibniz.brackets import (
 from leibniz.catalog import catalog_build, catalog_verify
 from leibniz.cli import main
 from leibniz.dynamics import (
+    MONOTONE_TOL,
     IntegratorConfig,
     OdeSystem,
     integrate,
@@ -329,9 +329,8 @@ def test_criterion_6_conservation_and_dissipation():
     assert deriv == sos  # exact gate: manifestly nonpositive
     trajectory = integrate(damped.system, damped.x0, config)
     assert trajectory.ok
-    report = observe(
-        damped.system, trajectory, {"half-norm": half_norm}, tol=MONOTONE_STEP_TOL
-    )
+    assert MONOTONE_TOL == MONOTONE_STEP_TOL  # the per-step tolerance observe applies
+    report = observe(damped.system, trajectory, {"half-norm": half_norm})
     assert report["half-norm"].monotonicity == "nonincreasing"
 
     # (c) both quadratic invariants are conserved along the misprinted entry's

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibniz import algebroid
 from leibniz.algebroid import (
     AlgebroidStructure,
-    CertificationError,
     NotLinearError,
     PolyFraction,
-    Prop4DualTensor,
     Section,
     ZeroCoefficientError,
     classify_algebroid,
@@ -570,3 +569,75 @@ def test_partner_annihilation_residuals_equal_the_general_bracket(symbolic):
                 assert str(got) == str(expected)
     # h2 is not annihilated: the comparison is not only between zeros
     assert not L2.annihilates(entry.hamiltonians["h2"], "first")
+
+
+X2 = Chart(base=("x1", "x2"))
+_POOL = ("0", "1", "-1", "x1", "-x1", "x2", "2*x1*x2")
+
+
+@st.composite
+def biased_structures(draw):
+    """Structures over a two-variable base, drawn so that C is often exactly
+    antisymmetric or symmetric in (a, b) and rho2 often equals +-rho1."""
+    m = draw(st.integers(1, 2))
+    entry = st.sampled_from(_POOL).map(lambda text: parse_poly(X2, text))
+    C = [[[draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(m)]
+    shape = draw(st.sampled_from(["antisymmetric", "symmetric", "free"]))
+    for a in range(m):
+        for b in range(a, m):
+            for d in range(m):
+                if shape == "antisymmetric":
+                    C[a][b][d] = Poly.zero(X2) if a == b else C[a][b][d]
+                    C[b][a][d] = -C[a][b][d]
+                elif shape == "symmetric":
+                    C[b][a][d] = C[a][b][d]
+    rho1 = [[draw(entry) for _ in range(m)] for _ in range(X2.dim)]
+    anchors = draw(st.sampled_from(["equal", "opposite", "free"]))
+    if anchors == "free":
+        rho2 = [[draw(entry) for _ in range(m)] for _ in range(X2.dim)]
+    else:
+        rho2 = [[p if anchors == "equal" else -p for p in row] for row in rho1]
+    return AlgebroidStructure(X2, m, C, rho1, rho2)
+
+
+def _classify_by_definition(A):
+    """The class written out on C and the anchors, index by index."""
+    triples = [(a, b, d) for a in range(A.m) for b in range(A.m) for d in range(A.m)]
+    c_anti = all((A.C[a][b][d] + A.C[b][a][d]).is_zero for a, b, d in triples)
+    c_sym = all((A.C[a][b][d] - A.C[b][a][d]).is_zero for a, b, d in triples)
+    pairs = [(i, a) for i in range(A.n) for a in range(A.m)]
+    rho_equal = all((A.rho1[i][a] - A.rho2[i][a]).is_zero for i, a in pairs)
+    rho_opposite = all((A.rho1[i][a] + A.rho2[i][a]).is_zero for i, a in pairs)
+    if c_anti and rho_equal:
+        return "pre_lie"
+    if c_sym and rho_opposite:
+        return "symmetric"
+    return "general"
+
+
+@settings(max_examples=200, deadline=None)
+@given(biased_structures())
+def test_classification_equals_its_definition(A):
+    assert classify_algebroid(A) == _classify_by_definition(A)
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_partner_flow_divides_only_by_nonconstant_denominators(symbolic, monkeypatch):
+    # a residual whose denominator is the constant 1 is its numerator already
+    entry = catalog_build("rigid-body-metriplectic-algebroid", symbolic=symbolic)
+    _A1, L2 = entry.structure
+    h2 = entry.hamiltonians["h2"]
+    one = Poly.const(L2.dual_chart, 1)
+    residuals = list(L2.annihilation_residuals(h2, "second").values())
+    nonzero = [r for r in residuals if not r.is_zero]
+    assert any(r.den == one for r in nonzero) and any(r.den != one for r in nonzero)
+    divisors = []
+
+    def counting(p, d):
+        divisors.append(d)
+        return divide_exact(p, d)
+
+    monkeypatch.setattr(algebroid, "divide_exact", counting)
+    comps = L2.vf_contrib(h2)
+    assert divisors == [r.den for r in nonzero if r.den != one]
+    assert all(c * r.den == r.num for c, r in zip(comps, residuals, strict=True))

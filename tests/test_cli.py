@@ -131,6 +131,27 @@ class TestVerify:
         assert "  certification no-detail: FAIL" in lines
         assert "  certification with-detail: FAIL (why)" in lines
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_whitelisted_structure_file_failure_fails_only_when_strict(
+        self, capsys, monkeypatch, json_flag
+    ):
+        # a structure file is judged by the same rule as an entry
+        certs = [CheckResult("known", False, whitelisted=True, detail="why")]
+        monkeypatch.setattr(cli, "structure_certifications", lambda structure: certs)
+        path = str(DATA / "rigid-body-algebroid-structure.json")
+        for flags, code, mark in (([], 0, "known discrepancy"), (["--strict"], 1, "FAIL")):
+            assert main(["verify", path, *json_flag, *flags]) == code
+            out = capsys.readouterr().out
+            if json_flag:
+                doc = json.loads(out)
+                assert doc["ok"] is (code == 0)
+                assert doc["checks"] == [
+                    {"name": "known", "passed": False, "whitelisted": True, "detail": "why"}
+                ]
+            else:
+                assert f"  certification known: {mark} (why)" in out.splitlines()
+                assert out.endswith(f"  result: {'ok' if code == 0 else 'FAILED'}\n")
+
 
 class TestSimulate:
     def test_csv_to_stdout(self, capsys):
@@ -441,6 +462,15 @@ class TestGoldenOutput:
     )
     def test_verify_all_json(self, capsys, flags, golden):
         assert main(["verify", "--all", "--json", *flags]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, golden", [([], "verify-structure-file.txt"), (["--json"], "verify-structure-file.json")]
+    )
+    def test_verify_structure_file(self, capsys, monkeypatch, flags, golden):
+        # run from the data directory so the report names the bare file
+        monkeypatch.chdir(DATA)
+        assert main(["verify", "rigid-body-metriplectic-algebroid-structure.json", *flags]) == 0
         assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 
     def test_derived_flows(self):

@@ -12,9 +12,10 @@ a change keeps every output, or twice on one tree (under different
 
 The cases: ``list``; ``verify --all`` in all eight text/json x default/strict
 x numeric/symbolic modes; ``verify`` of each entry; ``export`` of each entry
-and ``verify`` of each file written; ``simulate`` of each entry with rk4 and
-rk45 to CSV and JSON; ``plot`` of each entry and of each saved rk4
-trajectory in two projections; and the documented exit-2 usage errors.
+and ``verify`` of each file written in all four text/json x default/strict
+modes; ``simulate`` of each entry with rk4 and rk45 to CSV and JSON; ``plot``
+of each entry and of each saved rk4 trajectory in two projections; and the
+documented exit-2 usage errors.
 
 The path of the imported ``leibniz`` package goes to stderr, so a run shows
 which tree it measured; nothing else is printed.
@@ -93,7 +94,8 @@ def _file_cases(tmp: Path) -> list[list[str]]:
     """Cases that read what the entry cases wrote: exported structures and saved orbits."""
     out = []
     for path in sorted((tmp / "exported").iterdir()):
-        out += [["verify", str(path)], ["verify", str(path), "--json"]]
+        for flags in ([], ["--json"], ["--strict"], ["--json", "--strict"]):
+            out.append(["verify", str(path), *flags])
     for name in ENTRY_NAMES:
         for proj in PLOT_PROJECTIONS:
             out.append(["plot", str(tmp / "orbits" / f"{name}-rk4.json"), "--proj", proj])
