@@ -8,8 +8,8 @@ generator functions, observables, an initial state, the parameters, and a
 name to polynomial (a coordinate left out, such as a symbolic parameter, has
 zero flow).  :func:`catalog_build` derives the rest once, from the entry's
 kind: the :class:`~leibniz.dynamics.OdeSystem` through that kind's
-``rhs_from_*`` route (generators in their listed order), the reference in
-chart order, and the shared integration span.
+``rhs_from_*`` route (generators in their listed order) and the reference in
+chart order.
 
 References are never corrected: where the source is misprinted, the derived
 flow and the reference disagree, and :func:`catalog_verify` reports the
@@ -95,18 +95,18 @@ class CatalogEntry:
     quantities worth monitoring along the flow; no conservation claim is
     implied by membership.  ``structure`` holds the kind-specific objects:
     a TensorField2, a MetriplecticPair, an AlgebroidStructure, or an
-    (AlgebroidStructure, Prop4DualTensor) pair.
+    (AlgebroidStructure, Prop4DualTensor) pair.  The integration span is
+    :class:`~leibniz.dynamics.IntegratorConfig`'s and the description is
+    :func:`catalog_list`'s; an entry holds neither.
     """
 
     name: str
     kind: str
-    description: str
     system: OdeSystem
     reference_rhs: tuple[Poly, ...]
     hamiltonians: dict[str, Poly]
     observables: dict[str, Poly]
     x0: tuple[float, ...]
-    t_end: float
     params: dict[str, tuple]
     symbolic: bool
     structure: object
@@ -522,9 +522,6 @@ _FLOW_ROUTES: dict[str, Callable[..., OdeSystem]] = {
     "metriplectic_algebroid": rhs_metriplectic_algebroid,
 }
 
-_T_END = 20.0  # every entry's default integration span
-
-
 def catalog_list() -> list[dict[str, str]]:
     """Summaries (name, kind, parameter schema, description) for every entry; builds none."""
     return [
@@ -553,10 +550,8 @@ def catalog_build(name: str, params: Mapping | None = None, symbolic: bool = Fal
     return CatalogEntry(
         name=name,
         kind=spec.kind,
-        description=spec.description,
         system=system,
         reference_rhs=tuple(reference.get(coord, zero) for coord in system.chart.names),
-        t_end=_T_END,
         # an entry without parameters has nothing to carry symbolically
         symbolic=symbolic and bool(spec.takes),
         **fields,
@@ -689,14 +684,11 @@ def _recorded_misprints(entry: CatalogEntry, check: str, residuals: Mapping[str,
     return out
 
 
-def catalog_verify(
-    entry: str | CatalogEntry, params: Mapping | None = None, symbolic: bool = False
-) -> VerifyReport:
+def catalog_verify(entry: str | CatalogEntry) -> VerifyReport:
     """Diff the derived flow against the transcribed reference, component-wise.
 
-    ``entry`` is an entry name, built here with ``params`` and ``symbolic``,
-    or an entry already built by :func:`catalog_build`, which carries its own
-    (combining it with ``params`` or ``symbolic`` raises ``TypeError``).
+    ``entry`` is an entry built by :func:`catalog_build`, or an entry name,
+    built here with its default parameters.
     A nonzero residual is marked whitelisted when the misprint data file
     records exactly that residual for that component (parameter-free
     records apply to symbolic builds as well).  For the combined
@@ -704,11 +696,8 @@ def catalog_verify(
     that its base flow equals the damped-top entry's flow, built
     independently from the entry's parameters.
     """
-    if isinstance(entry, CatalogEntry):
-        if params is not None or symbolic:
-            raise TypeError("a built entry carries its own params and symbolic flag")
-    else:
-        entry = catalog_build(entry, params, symbolic)
+    if not isinstance(entry, CatalogEntry):
+        entry = catalog_build(entry)
     components = tuple(zip(entry.chart.names, entry.system.rhs, entry.reference_rhs))
     residuals = {comp: derived - reference for comp, derived, reference in components}
     known = _recorded_misprints(entry, "reference-system", residuals)

@@ -5,8 +5,8 @@ integration failure, or a reader that closed stdout early (``leibniz verify
 --all | head``; no traceback is printed), 2 usage error (bad flags, unknown
 names, inadmissible or unexpected parameters, a tolerance that is not positive
 and finite, invalid projections, a file that cannot be read or written or is
-malformed, entry flags (``--params``, ``--gamma``, ``--s``, ``--a``,
-``--symbolic``) given with a structure or trajectory file, integrator flags
+malformed, entry flags (``--gamma``, ``--s``, ``--a``, ``--symbolic``)
+given with a structure or trajectory file, integrator flags
 (``--t-end``, ``--step``, ``--tol``, ``--method``, ``--max-steps``) given with
 a trajectory file, state values that cannot be plotted, a structure whose
 exact algebra exceeds the degree cap or needs a non-polynomial quotient).
@@ -33,7 +33,6 @@ from .algebroid import classify_algebroid, structure_from_json
 from .catalog import (
     ENTRY_NAMES,
     CatalogEntry,
-    ParameterError,
     UnknownEntryError,
     VerifyReport,
     catalog_build,
@@ -53,7 +52,7 @@ from .dynamics import (
     trajectory_to_json,
 )
 from .poly import DegreeCapError, ExactDivisionError
-from .svgplot import PROJECTIONS, PlotSpec, ProjectionError, render_svg
+from .svgplot import PROJECTIONS, PlotSpec, render_svg
 
 __all__ = ["main", "build_parser"]
 
@@ -121,21 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # safe to share: each parse_args starts a fresh namespace, and no option has
-    # a mutable default (--params appends onto None)
+    # a mutable default
     return build_parser()
 
 
+_PARAM_KEYS = ("gamma", "s", "a")
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--params",
-        action="append",
-        default=None,
-        metavar="KEY=V1,V2,...",
-        help="entry parameter as exact rationals, repeatable",
-    )
-    p.add_argument("--gamma", default=None, metavar="G1,G2,G3", help="shortcut for --params gamma=...")
-    p.add_argument("--s", default=None, metavar="S1,S2,S3", help="shortcut for --params s=...")
-    p.add_argument("--a", default=None, metavar="A1,A2,A3", help="shortcut for --params a=...")
+    for key in _PARAM_KEYS:
+        metavar = ",".join(f"{key[0].upper()}{i}" for i in (1, 2, 3))
+        p.add_argument(f"--{key}", metavar=metavar, help=f"entry parameter {key} as exact rationals")
     p.add_argument(
         "--symbolic",
         action="store_true",
@@ -144,9 +139,10 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-end", type=float, default=None, help="integration span (default: entry's)")
     # None marks a flag not given: IntegratorConfig supplies its default, and a
     # trajectory file refuses only the flags that were given
+    span = f"integration span (default: {IntegratorConfig.t_end:g})"
+    p.add_argument("--t-end", type=float, default=None, help=span)
     p.add_argument("--step", type=float, default=None, help="fixed step size for rk4")
     p.add_argument("--tol", type=float, default=None, help="absolute and relative tolerance for rk45")
     p.add_argument(
@@ -159,22 +155,16 @@ def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, tuple[str, ...]]:
-    params: dict[str, tuple[str, ...]] = {}
-    for spec in args.params or ():
-        key, sep, value = spec.partition("=")
-        if not sep or not key.strip() or not value.strip():
-            raise _UsageError(f"--params expects KEY=V1,V2,... , got {spec!r}")
-        params[key.strip()] = tuple(v.strip() for v in value.split(","))
-    for key in ("gamma", "s", "a"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = tuple(v.strip() for v in value.split(","))
-    return params
+    return {
+        key: tuple(v.strip() for v in getattr(args, key).split(","))
+        for key in _PARAM_KEYS
+        if getattr(args, key) is not None
+    }
 
 
 def _refuse_entry_flags(args: argparse.Namespace, kind: str) -> None:
     """Entry flags select a catalog entry's parameters; a file has none to set."""
-    given = [f"--{key}" for key in ("params", "gamma", "s", "a") if getattr(args, key) is not None]
+    given = [f"--{key}" for key in _PARAM_KEYS if getattr(args, key) is not None]
     if args.symbolic:
         given.append("--symbolic")
     if given:
@@ -189,13 +179,17 @@ def _refuse_integrator_flags(args: argparse.Namespace) -> None:
         raise _UsageError(f"integrator flags ({', '.join(given)}) do not apply to a trajectory file")
 
 
-def _config_from_args(args: argparse.Namespace, entry_t_end: float) -> IntegratorConfig:
+def _config_from_args(args: argparse.Namespace) -> IntegratorConfig:
     method = {"rk4": "rk4_fixed", "rk45": "rk45_adaptive"}.get(args.method)
-    t_end = args.t_end if args.t_end is not None else entry_t_end
     given = dict(
-        method=method, step=args.step, abs_tol=args.tol, rel_tol=args.tol, max_steps=args.max_steps
+        t_end=args.t_end,
+        method=method,
+        step=args.step,
+        abs_tol=args.tol,
+        rel_tol=args.tol,
+        max_steps=args.max_steps,
     )
-    return IntegratorConfig(t_end=t_end, **{k: v for k, v in given.items() if v is not None})
+    return IntegratorConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _build_entry(name: str, args: argparse.Namespace) -> CatalogEntry:
@@ -280,7 +274,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     entry = _build_entry(args.name, args)
-    config = _config_from_args(args, entry.t_end)
+    config = _config_from_args(args)
     trajectory = integrate(entry.system, entry.x0, config)
     observations = observe(entry.system, trajectory, entry.observables)
     out_format = args.format
@@ -316,7 +310,7 @@ def _trajectory_for_plot(args: argparse.Namespace) -> tuple[str, tuple[str, ...]
     source = args.source
     if source in ENTRY_NAMES:
         entry = _build_entry(source, args)
-        config = _config_from_args(args, entry.t_end)
+        config = _config_from_args(args)
         trajectory = integrate(entry.system, entry.x0, config)
         if not trajectory.ok:
             raise _UsageError(
@@ -364,14 +358,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         _discard_stdout()
         return 1
-    except (_UsageError, ParameterError, ProjectionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except UnknownEntryError as exc:
         # KeyError subclasses repr their message; unwrap for readability
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, DegreeCapError, ExactDivisionError) as exc:
+    except (_UsageError, ValueError, OSError, DegreeCapError, ExactDivisionError) as exc:
+        # ParameterError and ProjectionError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

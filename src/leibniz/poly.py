@@ -542,34 +542,24 @@ def _parse_coefficient(token: str) -> int | Fraction | None:
     return None
 
 
-def parse_poly(chart: Chart, text: str) -> Poly:
-    """Parse the package's polynomial text syntax on the given chart."""
+def _signed_terms(text: str) -> list[tuple[int, str]]:
+    """Split polynomial text into (sign, term) pieces, at most one sign per term."""
     stripped = text.strip()
     if not stripped:
         raise PolyParseError("empty polynomial text")
-    # split into signed terms; only a single leading sign per term is allowed
-    pieces: list[tuple[int, str]] = []
-    sign = 1
-    i = 0
-    if stripped[0] in "+-":
-        sign = -1 if stripped[0] == "-" else 1
-        i = 1
-    start = i
-    while i <= len(stripped):
-        if i == len(stripped) or stripped[i] in "+-":
-            term = stripped[start:i].strip()
-            if not term:
-                raise PolyParseError(f"dangling sign in {text!r}")
-            pieces.append((sign, term))
-            if i < len(stripped):
-                sign = -1 if stripped[i] == "-" else 1
-            i += 1
-            start = i
-        else:
-            i += 1
+    first, *rest = re.split(r"([+-])", stripped)
+    # a leading empty piece marks a leading sign
+    signed = rest if not first else ["+", first, *rest]
+    terms = [term.strip() for term in signed[1::2]]
+    if not all(terms):
+        raise PolyParseError(f"dangling sign in {text!r}")
+    return [(-1 if sign == "-" else 1, term) for sign, term in zip(signed[::2], terms)]
 
+
+def parse_poly(chart: Chart, text: str) -> Poly:
+    """Parse the package's polynomial text syntax on the given chart."""
     monomials: list[Poly] = []
-    for sign, term_text in pieces:
+    for sign, term_text in _signed_terms(text):
         coeff = sign
         exponent = [0] * chart.dim
         for factor in term_text.split("*"):

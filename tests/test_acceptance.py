@@ -116,16 +116,16 @@ def test_criterion_1_exact_flow_reproduction():
     parameter value, not just the defaults.
     """
     # diagonal symmetric tensor, cubic generator; symbolic coefficients, unit signs
-    assert catalog_verify("gradient-beltrami", symbolic=True).clean
+    assert catalog_verify(catalog_build("gradient-beltrami", symbolic=True)).clean
     # damped top with symbolic moments
-    assert catalog_verify("revised-rigid-body", symbolic=True).clean
+    assert catalog_verify(catalog_build("revised-rigid-body", symbolic=True)).clean
     # the two mixed-pair examples (no parameters)
     assert catalog_verify("almost-leibniz-ex2").clean
     assert catalog_verify("almost-leibniz-ex3").clean
     # fiber-linear free top, weighted linear generator, symbolic weights
-    assert catalog_verify("rigid-body-algebroid", symbolic=True).clean
+    assert catalog_verify(catalog_build("rigid-body-algebroid", symbolic=True)).clean
     # combined antisymmetric + constructed symmetric flow, symbolic weights
-    assert catalog_verify("rigid-body-metriplectic-algebroid", symbolic=True).clean
+    assert catalog_verify(catalog_build("rigid-body-metriplectic-algebroid", symbolic=True)).clean
     # base components of the misprinted entry still match exactly
     report = catalog_verify("maxwell-bloch-algebroid")
     for diff in report.diffs:

@@ -76,7 +76,6 @@ class TestBuild:
         assert len(entry.system.rhs) == dim
         assert len(entry.reference_rhs) == dim
         assert len(entry.x0) == dim
-        assert entry.t_end > 0
         assert entry.system.provenance == name
         for p in entry.reference_rhs:
             assert p.chart == entry.chart
@@ -128,10 +127,12 @@ class TestParameters:
         assert entry.symbolic
 
     def test_rational_overrides_verify_clean(self):
-        rep = catalog_verify("revised-rigid-body", params={"a": ("7/10", "1/2", "3/10")})
+        rep = catalog_verify(
+            catalog_build("revised-rigid-body", params={"a": ("7/10", "1/2", "3/10")})
+        )
         assert rep.clean
         rep = catalog_verify(
-            "gradient-beltrami", params={"gamma": (2, -1, -1), "s": (-1, 1, -1)}
+            catalog_build("gradient-beltrami", params={"gamma": (2, -1, -1), "s": (-1, 1, -1)})
         )
         assert rep.clean
 
@@ -238,7 +239,7 @@ class TestVerify:
 class TestSymbolic:
     @pytest.mark.parametrize("name", PARAMETERIZED)
     def test_symbolic_reference_match(self, name):
-        rep = catalog_verify(name, symbolic=True)
+        rep = catalog_verify(catalog_build(name, symbolic=True))
         assert rep.clean_modulo_known
         for check in rep.checks:
             assert check.passed
@@ -367,24 +368,9 @@ class TestStructureExport:
 class TestVerifyBuiltEntry:
     """``catalog_verify`` on an entry that is already built."""
 
-    CASES = [(name, None, False) for name in ENTRY_NAMES] + [
-        ("gradient-beltrami", {"gamma": (Fraction(1, 2), 1, Fraction(-3, 2)), "s": (1, -1, 1)}, False),
-        ("revised-rigid-body", {"a": ("7/10", "1/2", "3/10")}, False),
-        ("rigid-body-algebroid", {"a": ("9/10", "1/4", "1/20")}, False),
-        ("rigid-body-metriplectic-algebroid", {"a": ("7/10", "1/2", "3/10")}, False),
-    ] + [(name, None, True) for name in ENTRY_NAMES]
-
-    @pytest.mark.parametrize("name, params, symbolic", CASES)
-    def test_same_report_as_by_name(self, name, params, symbolic):
-        entry = catalog_build(name, params, symbolic)
-        assert catalog_verify(entry).to_dict() == catalog_verify(name, params, symbolic).to_dict()
-
-    def test_entry_with_params_or_symbolic_is_refused(self):
-        entry = catalog_build("revised-rigid-body")
-        with pytest.raises(TypeError):
-            catalog_verify(entry, {"a": (3, 2, 1)})
-        with pytest.raises(TypeError):
-            catalog_verify(entry, symbolic=True)
+    @pytest.mark.parametrize("name", ENTRY_NAMES)
+    def test_same_report_as_by_name(self, name):
+        assert catalog_verify(catalog_build(name)).to_dict() == catalog_verify(name).to_dict()
 
     def test_cross_check_builds_the_damped_top_with_the_entry_parameters(self, monkeypatch):
         calls = []

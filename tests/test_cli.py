@@ -108,10 +108,6 @@ class TestVerify:
     def test_symbolic_verify(self, capsys):
         assert main(["verify", "rigid-body-algebroid", "--symbolic"]) == 0
 
-    def test_bad_params_flag_syntax(self, capsys):
-        assert main(["verify", "revised-rigid-body", "--params", "nonsense"]) == 2
-        assert "KEY=V1,V2" in capsys.readouterr().err
-
     def test_failed_certification_lines(self, capsys, monkeypatch):
         # certifications render like the report's checks: the detail in
         # parentheses only when there is one
@@ -296,6 +292,15 @@ class TestPlot:
         assert main(argv) == 0
         assert "orbit of interest" in out.read_text()
 
+    def test_title_markup_is_escaped(self, tmp_path):
+        out = tmp_path / "orbit.svg"
+        argv = [
+            "plot", "almost-leibniz-ex2", "--proj", "x12", "--t-end", "1",
+            "--title", "a & b < c > d \"e\" 'f'", "-o", str(out),
+        ]
+        assert main(argv) == 0
+        assert ">a &amp; b &lt; c &gt; d &quot;e&quot; 'f'</text>" in out.read_text()
+
     def test_svg_deterministic(self, tmp_path):
         outs = []
         for stem in ("one", "two"):
@@ -309,7 +314,7 @@ class TestPlot:
         # a trajectory frozen at a fixed point projects to a single spot
         data = tmp_path / "flat.json"
         assert main([
-            "simulate", "gradient-beltrami", "--params", "gamma=0,0,0",
+            "simulate", "gradient-beltrami", "--gamma=0,0,0",
             "--method", "rk4", "--step", "0.1", "--t-end", "1",
             "--format", "json", "-o", str(data),
         ]) == 0
@@ -381,7 +386,7 @@ class TestParameterChecks:
         "argv",
         [
             ["verify", "gradient-beltrami", "--a=3,2,1"],
-            ["verify", "revised-rigid-body", "--params", "foo=1"],
+            ["verify", "revised-rigid-body", "--s=1,1,1"],
             ["simulate", "rigid-body-algebroid", "--gamma=1,1,-2"],
             ["verify", "almost-leibniz-ex2", "--a=3,2,1"],
         ],
@@ -406,7 +411,6 @@ class TestEntryFlagsOnFiles:
         "flags, named",
         [
             (["--a=1,2,3", "--symbolic", "--gamma=5"], "--gamma, --a, --symbolic"),
-            (["--params", "a=1,2,3", "--json"], "--params"),
             (["--s=1,1,1"], "--s"),
         ],
     )
@@ -418,7 +422,7 @@ class TestEntryFlagsOnFiles:
 
     @pytest.mark.parametrize(
         "flags, named",
-        [(["--a=1,2,3"], "--a"), (["--symbolic"], "--symbolic"), (["--params", "gamma=1,1,1"], "--params")],
+        [(["--a=1,2,3"], "--a"), (["--symbolic"], "--symbolic")],
     )
     def test_plot_trajectory_file(self, tmp_path, capsys, flags, named):
         path = self._trajectory_file(tmp_path)
@@ -742,7 +746,7 @@ def _call(argv, capsys, monkeypatch):
     handler = cli.cmd_verify
 
     def recording(args):
-        seen.append({k: list(v) if isinstance(v, list) else v for k, v in vars(args).items()})
+        seen.append(dict(vars(args)))
         return handler(args)
 
     monkeypatch.setattr(cli, "cmd_verify", recording)
@@ -782,12 +786,12 @@ class TestSharedParser:
         assert alone[0][3][0]["a"] == "7/10,1/2,3/10" and alone[1][3][0]["a"] is None
 
     def test_repeated_params_do_not_accumulate(self, capsys, monkeypatch):
-        argv = ["verify", "revised-rigid-body", "--params", "a=1,1,1", "--params", "a=7/10,1/2,3/10"]
+        argv = ["verify", "revised-rigid-body", "--a=1,1,1", "--a=7/10,1/2,3/10"]
         first, second = _call(argv, capsys, monkeypatch), _call(argv, capsys, monkeypatch)
         assert first == second
         assert first[0] == 0
-        assert first[3][0]["params"] == ["a=1,1,1", "a=7/10,1/2,3/10"]
-        assert _call(["verify", "revised-rigid-body"], capsys, monkeypatch)[3][0]["params"] is None
+        assert first[3][0]["a"] == "7/10,1/2,3/10"
+        assert _call(["verify", "revised-rigid-body"], capsys, monkeypatch)[3][0]["a"] is None
 
     def test_usage_error_then_help_then_valid_call(self, capsys):
         assert main(["verify", "revised-rigid-body", "--no-such-flag"]) == 2

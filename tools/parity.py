@@ -14,8 +14,10 @@ The cases: ``list``; ``verify --all`` in all eight text/json x default/strict
 x numeric/symbolic modes; ``verify`` of each entry; ``export`` of each entry
 and ``verify`` of each file written in all four text/json x default/strict
 modes; ``simulate`` of each entry with rk4 and rk45 to CSV and JSON; ``plot``
-of each entry and of each saved rk4 trajectory in two projections; and the
-documented exit-2 usage errors.
+of each entry and of each saved rk4 trajectory in two projections; the
+documented exit-2 usage errors, among them argparse's refusal of the removed
+``--params`` flag; and, last, ``verify`` with a repeated ``--a``, where the
+last value given wins.
 
 The path of the imported ``leibniz`` package goes to stderr, so a run shows
 which tree it measured; nothing else is printed.
@@ -166,6 +168,8 @@ def _usage_errors(tmp: Path) -> list[list[str]]:
     cases += [["plot", f"{inputs}/{name}", "-o", "orbit.svg"] for name in (
         "inf-status.json", "inf-state.json", "nan-state.json", "wide-state.json", "bad-times.json",
     )]
+    # last, so the case numbers before it stay those of earlier versions of this list
+    cases.append(["verify", "revised-rigid-body", "--a=1,1,1", "--a=7/10,1/2,3/10"])
     return cases
 
 
