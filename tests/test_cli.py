@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface: flags, outputs, exit codes."""
 
+import dataclasses
 import errno
 import io
 import json
@@ -379,6 +380,31 @@ class TestVerifyBuildsOnce:
             assert calls == [name, "revised-rigid-body"]
         else:
             assert calls == [name]
+
+
+class TestVerifyFlagsReachTheBuild:
+    """``verify NAME`` with entry flags reports what the library reports on
+    the entry built from the same parameters, certifications included."""
+
+    CASES = [(name, {}, False) for name in ENTRY_NAMES] + [
+        ("gradient-beltrami", {"gamma": ("1/2", "1", "-3/2"), "s": ("1", "-1", "1")}, False),
+        ("revised-rigid-body", {"a": ("7/10", "1/2", "3/10")}, False),
+        ("rigid-body-algebroid", {"a": ("9/10", "1/4", "1/20")}, False),
+        ("rigid-body-metriplectic-algebroid", {"a": ("7/10", "1/2", "3/10")}, False),
+    ] + [(name, {}, True) for name in ENTRY_NAMES]
+
+    @pytest.mark.parametrize("name, params, symbolic", CASES)
+    def test_same_report_as_the_library(self, name, params, symbolic, capsys):
+        entry = catalog_build(name, params, symbolic)
+        report = dataclasses.replace(
+            catalog.catalog_verify(entry), certifications=tuple(catalog.entry_certifications(entry))
+        )
+        flags = [f"--{key}={','.join(values)}" for key, values in params.items()]
+        flags += ["--symbolic"] if symbolic else []
+        assert main(["verify", name, *flags, "--json"]) == (0 if report.ok() else 1)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is report.ok()
+        assert doc["entries"] == [json.loads(json.dumps(report.to_dict()))]
 
 
 class TestParameterChecks:
