@@ -4,13 +4,13 @@ Public surface, by module:
 
 - :mod:`leibniz.poly` — sparse exact-rational polynomials on charts with
   base and fiber coordinates;
-- :mod:`leibniz.brackets` — 2-contravariant tensor fields, single- and
-  two-generator brackets, derivation/annihilation certificates;
+- :mod:`leibniz.brackets` — 2-contravariant tensor fields, their brackets,
+  vector fields, and derivation/annihilation certificates;
 - :mod:`leibniz.algebroid` — fiber-linear structures (structure functions
-  plus two anchors), their dual-chart tensors, section brackets, and the
-  constructed symmetric partner;
-- :mod:`leibniz.dynamics` — flows derived from any of the structures,
-  deterministic fixed-step and adaptive integrators, observables, export;
+  plus two anchors), their dual-chart tensors, section brackets, the
+  constructed symmetric partner, and the flows they generate;
+- :mod:`leibniz.dynamics` — ``OdeSystem(chart, vf)`` for any structure's
+  vector field, deterministic integrators, observables, export;
 - :mod:`leibniz.catalog` — built-in example systems with transcribed
   reference flows and exact verification reports;
 - :mod:`leibniz.cli` — the ``leibniz`` command (list / verify / simulate /
@@ -21,9 +21,11 @@ from .algebroid import (
     AlgebroidStructure,
     Prop4DualTensor,
     Section,
+    algebroid_vf,
     classify_algebroid,
     lambda_from_structure,
     lift_section,
+    metriplectic_algebroid_vf,
     prop4_construct_dual_tensor,
     section_bracket,
     structure_from_json,
@@ -54,10 +56,6 @@ from .dynamics import (
     integrate,
     lie_derivative,
     observe,
-    rhs_from_algebroid,
-    rhs_from_bracket,
-    rhs_from_pair,
-    rhs_metriplectic_algebroid,
     trajectory_from_json,
     trajectory_to_csv,
     trajectory_to_json,
@@ -87,6 +85,8 @@ __all__ = [
     "lambda_from_structure",
     "lift_section",
     "section_bracket",
+    "algebroid_vf",
+    "metriplectic_algebroid_vf",
     "theorem1_check",
     "classify_algebroid",
     "prop4_construct_dual_tensor",
@@ -99,10 +99,6 @@ __all__ = [
     "integrate",
     "lie_derivative",
     "observe",
-    "rhs_from_bracket",
-    "rhs_from_pair",
-    "rhs_from_algebroid",
-    "rhs_metriplectic_algebroid",
     "trajectory_to_csv",
     "trajectory_to_json",
     "trajectory_from_json",

@@ -580,6 +580,54 @@ def prop4_construct_dual_tensor(h1: Poly) -> Prop4DualTensor:
     return result
 
 
+# -- flows -------------------------------------------------------------------------
+
+
+def algebroid_vf(A: AlgebroidStructure, h: Poly) -> tuple[Poly, ...]:
+    """Vector field generated by ``h`` on the dual chart, from the structure data.
+
+    Computed directly from the structure functions and anchors:
+
+    * base components:   dx^i/dt = -sum_a rho2[i][a] * dh/dxi_a
+    * fiber components:  dxi_a/dt = sum_b (sum_d C[a][b][d] xi_d) * dh/dxi_b
+                                    + sum_i rho1[i][a] * dh/dx^i
+
+    This is an independent route from contracting the assembled dual-chart
+    tensor with the gradient of ``h``; the two are checked against each other
+    in the test suite rather than being collapsed into one code path.
+    """
+    chart = A.dual_chart
+    n, m = A.n, A.m
+    dh = [h.diff(name) for name in chart.names]
+    xi = [Poly.var(chart, name) for name in chart.fiber]
+    components: list[Poly] = []
+    for i in range(n):
+        components.append(-_poly_sum(chart, (embed(A.rho2[i][a], chart) * dh[n + a] for a in range(m))))
+    for a in range(m):
+        terms = []
+        for b in range(m):
+            contracted = _poly_sum(chart, (embed(A.C[a][b][d], chart) * xi[d] for d in range(m)))
+            terms.append(contracted * dh[n + b])
+        terms.extend(embed(A.rho1[i][a], chart) * dh[i] for i in range(n))
+        components.append(_poly_sum(chart, terms))
+    return tuple(components)
+
+
+def metriplectic_algebroid_vf(
+    A1: AlgebroidStructure, A2: AlgebroidStructure | Prop4DualTensor, h1: Poly, h2: Poly
+) -> tuple[Poly, ...]:
+    """Flow of an almost metriplectic algebroid: ``A1``'s flow of ``h1`` plus ``A2``'s of ``h2``.
+
+    ``A1`` is the antisymmetric part.  ``A2``, the symmetric part, may be a
+    constructed partner tensor; its flow must still be polynomial (it is
+    whenever the construction succeeded for a fiber-linear generator).
+    """
+    if A2.dual_chart != A1.dual_chart:
+        raise ChartMismatchError("the two structures live on different dual charts")
+    second = A2.vf_contrib(h2) if isinstance(A2, Prop4DualTensor) else algebroid_vf(A2, h2)
+    return tuple(p + q for p, q in zip(algebroid_vf(A1, h1), second))
+
+
 # -- JSON structure files --------------------------------------------------------
 
 

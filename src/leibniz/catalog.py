@@ -7,9 +7,9 @@ generator functions, observables, an initial state, the parameters, and a
 *reference* right-hand side transcribed verbatim, as a map from coordinate
 name to polynomial (a coordinate left out, such as a symbolic parameter, has
 zero flow).  :func:`catalog_build` derives the rest once, from the entry's
-kind: the :class:`~leibniz.dynamics.OdeSystem` through that kind's
-``rhs_from_*`` route (generators in their listed order) and the reference in
-chart order.
+kind: the :class:`~leibniz.dynamics.OdeSystem` of the vector field its
+structure generates (the kind's ``*_vf`` function, generators in their listed
+order) and the reference in chart order.
 
 References are never corrected: where the source is misprinted, the derived
 flow and the reference disagree, and :func:`catalog_verify` reports the
@@ -36,28 +36,26 @@ from .algebroid import (
     AlgebroidStructure,
     PolyFraction,
     Prop4DualTensor,
+    algebroid_vf,
     basis_compatible,
     fiber_linearity_defect,
     lambda_from_structure,
+    metriplectic_algebroid_vf,
     prop4_construct_dual_tensor,
     structure_to_json,
 )
 from .brackets import (
     MetriplecticPair,
     TensorField2,
+    almost_leibniz_vf,
     annihilator_residuals,
     check_derivation_first,
     check_derivation_second,
     check_pair_product,
     check_pair_scaling,
+    hamiltonian_vf,
 )
-from .dynamics import (
-    OdeSystem,
-    rhs_from_algebroid,
-    rhs_from_bracket,
-    rhs_from_pair,
-    rhs_metriplectic_algebroid,
-)
+from .dynamics import OdeSystem
 from .poly import Chart, Poly, _poly_sum, embed, parse_poly, poly_matrix, restrict
 
 __all__ = [
@@ -118,36 +116,38 @@ class CatalogEntry:
 
 # -- parameter handling -------------------------------------------------------------
 
+_DEFAULTS = dict(gamma=(1, 1, -2), s=(1, 1, 1), a=(Fraction(3, 5), Fraction(2, 5), Fraction(1, 5)))
+_DEFAULT_TEXT = {name: f"{name}=({','.join(map(str, v))})" for name, v in _DEFAULTS.items()}
 
-def _as_fraction_tuple(value, count: int, label: str) -> tuple[Fraction, ...]:
+
+def _param(params: Mapping, name: str) -> tuple[Fraction, ...]:
+    """Parameter ``name`` as three exact rationals; its default when not given."""
+    value = params.get(name, _DEFAULTS[name])
     if isinstance(value, (str, bytes)):
-        raise ParameterError(f"{label} must be a sequence of {count} rationals")
+        raise ParameterError(f"{name} must be a sequence of 3 rationals")
     try:
         items = tuple(Fraction(v) for v in value)
     except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{label} must be a sequence of {count} rationals") from exc
+        raise ParameterError(f"{name} must be a sequence of 3 rationals") from exc
     except ZeroDivisionError as exc:
-        raise ParameterError(f"{label} has a component with a zero denominator") from exc
-    if len(items) != count:
-        raise ParameterError(f"{label} needs exactly {count} components, got {len(items)}")
+        raise ParameterError(f"{name} has a component with a zero denominator") from exc
+    if len(items) != 3:
+        raise ParameterError(f"{name} needs exactly 3 components, got {len(items)}")
     return items
 
 
 def _gamma_params(params: Mapping) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    gamma = _as_fraction_tuple(params.get("gamma", (1, 1, -2)), 3, "gamma")
+    gamma = _param(params, "gamma")
     if sum(gamma) != 0:
         raise ParameterError("gamma components must sum to zero exactly")
-    s_raw = _as_fraction_tuple(params.get("s", (1, 1, 1)), 3, "s")
-    s = []
-    for v in s_raw:
-        if v not in (1, -1):
-            raise ParameterError("each s component must be -1 or 1")
-        s.append(int(v))
-    return gamma, tuple(s)
+    s = _param(params, "s")
+    if any(v not in (1, -1) for v in s):
+        raise ParameterError("each s component must be -1 or 1")
+    return gamma, tuple(int(v) for v in s)
 
 
 def _a_params(params: Mapping, symbolic: bool) -> tuple[Fraction, ...]:
-    a = _as_fraction_tuple(params.get("a", (Fraction(3, 5), Fraction(2, 5), Fraction(1, 5))), 3, "a")
+    a = _param(params, "a")
     if not symbolic and not (a[0] > a[1] > a[2] > 0):
         raise ParameterError("a must satisfy a1 > a2 > a3 > 0")
     return a
@@ -448,7 +448,7 @@ def _assert_partner_matches_reference(L2: Prop4DualTensor, a: Sequence[Poly]) ->
             raise AssertionError(f"constructed fiber structure function {b} differs from the reference")
 
 
-_A_SCHEMA = "a=(3/5,2/5,1/5) with a1 > a2 > a3 > 0"
+_A_SCHEMA = f"{_DEFAULT_TEXT['a']} with a1 > a2 > a3 > 0"
 
 
 class _EntrySpec(NamedTuple):
@@ -464,7 +464,7 @@ _BUILDERS: dict[str, _EntrySpec] = {
         "leibniz_bracket",
         _build_gradient_beltrami,
         ("gamma", "s"),
-        "gamma=(1,1,-2) summing to zero; s=(1,1,1) with entries in {-1,1}",
+        f"{_DEFAULT_TEXT['gamma']} summing to zero; {_DEFAULT_TEXT['s']} with entries in {{-1,1}}",
         "Gradient-like flow of a constant diagonal symmetric tensor with a cubic generator.",
     ),
     "revised-rigid-body": _EntrySpec(
@@ -513,13 +513,13 @@ _BUILDERS: dict[str, _EntrySpec] = {
 
 ENTRY_NAMES: tuple[str, ...] = tuple(_BUILDERS)
 
-# kind -> the route deriving an entry's flow from its structure and generators
-_FLOW_ROUTES: dict[str, Callable[..., OdeSystem]] = {
-    "leibniz_bracket": rhs_from_bracket,
-    "metriplectic_pair": rhs_from_pair,
-    "almost_leibniz": rhs_from_pair,
-    "algebroid": rhs_from_algebroid,
-    "metriplectic_algebroid": rhs_metriplectic_algebroid,
+# kind -> the vector field an entry's structure generates from its generators
+_FLOW_ROUTES: dict[str, Callable[..., tuple[Poly, ...]]] = {
+    "leibniz_bracket": hamiltonian_vf,
+    "metriplectic_pair": almost_leibniz_vf,
+    "almost_leibniz": almost_leibniz_vf,
+    "algebroid": algebroid_vf,
+    "metriplectic_algebroid": metriplectic_algebroid_vf,
 }
 
 def catalog_list() -> list[dict[str, str]]:
@@ -545,7 +545,8 @@ def catalog_build(name: str, params: Mapping | None = None, symbolic: bool = Fal
     structure = fields["structure"]
     # a metriplectic algebroid's structure is its (antisymmetric, symmetric) pair
     parts = structure if isinstance(structure, tuple) else (structure,)
-    system = _FLOW_ROUTES[spec.kind](*parts, *fields["hamiltonians"].values(), provenance=name)
+    rhs = _FLOW_ROUTES[spec.kind](*parts, *fields["hamiltonians"].values())
+    system = OdeSystem(rhs[0].chart, rhs, provenance=name)
     zero = Poly.zero(system.chart)
     return CatalogEntry(
         name=name,

@@ -3,13 +3,14 @@
 Exit codes are a stable contract for CI use: 0 success, 1 verification or
 integration failure, or a reader that closed stdout early (``leibniz verify
 --all | head``; no traceback is printed), 2 usage error (bad flags, unknown
-names, inadmissible or unexpected parameters, a tolerance that is not positive
-and finite, invalid projections, a file that cannot be read or written or is
-malformed, entry flags (``--gamma``, ``--s``, ``--a``, ``--symbolic``)
-given with a structure or trajectory file, integrator flags
-(``--t-end``, ``--step``, ``--tol``, ``--method``, ``--max-steps``) given with
-a trajectory file, state values that cannot be plotted, a structure whose
-exact algebra exceeds the degree cap or needs a non-polynomial quotient).
+names, inadmissible or unexpected parameters, a parameter too large for a
+float, a tolerance that is not positive and finite, invalid projections, a
+file that cannot be read or written or is malformed, entry flags (``--gamma``,
+``--s``, ``--a``, ``--symbolic``) given with a structure or trajectory file,
+integrator flags (``--t-end``, ``--step``, ``--tol``, ``--method``,
+``--max-steps``) given with a trajectory file, state values that cannot be
+plotted, a structure whose exact algebra exceeds the degree cap or needs a
+non-polynomial quotient).
 Every error is one ``error: ...`` line on stderr.  All outputs are
 deterministic for fixed flags: CSV/JSON byte-identical across reruns, SVG
 likewise.
@@ -362,7 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # KeyError subclasses repr their message; unwrap for readability
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (_UsageError, ValueError, OSError, DegreeCapError, ExactDivisionError) as exc:
+    except (_UsageError, ValueError, OSError, OverflowError, DegreeCapError, ExactDivisionError) as exc:
         # ParameterError and ProjectionError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

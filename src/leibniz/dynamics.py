@@ -1,13 +1,12 @@
 """Polynomial ODE systems, integrators, and conserved-quantity observation.
 
-This module turns the symbolic structures (bracket tensors, metriplectic
-pairs, fiber-linear structures on a dual chart) into explicit polynomial
-right-hand sides, compiles each system once into a generated straight-line
-float evaluator (``poly.float_evaluator``), and integrates it with either a
-fixed-step RK4 scheme or an adaptive Dormand-Prince 5(4) scheme.  The
-stepping loops live in ``_kernels``, one scalar-Python implementation per
-method.  A vector field is the tuple of its polynomial components in chart
-order, the shape of ``OdeSystem.rhs``.
+An ``OdeSystem`` is a chart plus a vector field, the tuple of its polynomial
+components in chart order, as each structure derives it (``hamiltonian_vf``,
+``almost_leibniz_vf``, ``algebroid_vf``, ``metriplectic_algebroid_vf``).  It
+is compiled once into a generated straight-line float evaluator
+(``poly.float_evaluator``) and integrated with either a fixed-step RK4 scheme
+or an adaptive Dormand-Prince 5(4) scheme, one scalar-Python loop each in
+``_kernels``.
 
 Observables are tracked symbolically first: ``lie_derivative`` computes the
 exact polynomial derivative of an observable along the flow, so tests can
@@ -29,9 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .algebroid import AlgebroidStructure, Prop4DualTensor
-from .brackets import MetriplecticPair, TensorField2, almost_leibniz_vf, hamiltonian_vf
-from .poly import Chart, ChartMismatchError, Poly, _poly_sum, embed, float_evaluator
+from .poly import Chart, ChartMismatchError, Poly, _poly_sum, float_evaluator
 
 __all__ = [
     "OdeSystem",
@@ -39,10 +36,6 @@ __all__ = [
     "Trajectory",
     "ObservableReport",
     "ObservationReport",
-    "rhs_from_bracket",
-    "rhs_from_pair",
-    "rhs_from_algebroid",
-    "rhs_metriplectic_algebroid",
     "integrate",
     "lie_derivative",
     "observe",
@@ -107,81 +100,6 @@ class OdeSystem:
         return {k: v for k, v in self.__dict__.items() if k not in caches}
 
 
-def rhs_from_bracket(tensor: TensorField2, h: Poly, provenance: str = "bracket") -> OdeSystem:
-    """System generated by one function through a bracket tensor."""
-    return OdeSystem(tensor.chart, hamiltonian_vf(tensor, h), provenance)
-
-
-def rhs_from_pair(
-    pair: MetriplecticPair, h1: Poly, h2: Poly, provenance: str = "pair"
-) -> OdeSystem:
-    """System generated by two functions through an antisymmetric/symmetric pair."""
-    return OdeSystem(pair.chart, almost_leibniz_vf(pair, h1, h2), provenance)
-
-
-def rhs_from_algebroid(
-    structure: AlgebroidStructure, h: Poly, provenance: str = "algebroid"
-) -> OdeSystem:
-    """System generated by ``h`` on the dual chart, from the structure data.
-
-    Computed directly from the structure functions and anchors:
-
-    * base components:   dx^i/dt = -sum_a rho2[i][a] * dh/dxi_a
-    * fiber components:  dxi_a/dt = sum_b (sum_d C[a][b][d] xi_d) * dh/dxi_b
-                                    + sum_i rho1[i][a] * dh/dx^i
-
-    This is an independent route from contracting the assembled dual-chart
-    tensor with the gradient of ``h``; the two are checked against each other
-    in the test suite rather than being collapsed into one code path.
-    """
-    chart = structure.dual_chart
-    n, m = structure.n, structure.m
-    names = chart.names
-    dh = [h.diff(name) for name in names]
-    xi = [Poly.var(chart, name) for name in chart.fiber]
-    components: list[Poly] = []
-    for i in range(n):
-        components.append(
-            -_poly_sum(chart, (embed(structure.rho2[i][a], chart) * dh[n + a] for a in range(m)))
-        )
-    for a in range(m):
-        terms = []
-        for b in range(m):
-            contracted = _poly_sum(
-                chart, (embed(structure.C[a][b][d], chart) * xi[d] for d in range(m))
-            )
-            terms.append(contracted * dh[n + b])
-        terms.extend(embed(structure.rho1[i][a], chart) * dh[i] for i in range(n))
-        components.append(_poly_sum(chart, terms))
-    return OdeSystem(chart, tuple(components), provenance)
-
-
-def rhs_metriplectic_algebroid(
-    antisymmetric_part: AlgebroidStructure,
-    symmetric_part: AlgebroidStructure | Prop4DualTensor,
-    h1: Poly,
-    h2: Poly,
-    provenance: str = "metriplectic-algebroid",
-) -> OdeSystem:
-    """Componentwise sum of an antisymmetric flow for ``h1`` and a symmetric one for ``h2``.
-
-    The symmetric part may be a plain structure or a constructed dual tensor
-    with rational-function structure functions; in the latter case its
-    vector-field contribution must still be polynomial (it is, whenever the
-    construction succeeded for a fiber-linear generator).
-    """
-    first = rhs_from_algebroid(antisymmetric_part, h1, provenance="")
-    chart = first.chart
-    if symmetric_part.dual_chart != chart:
-        raise ChartMismatchError("the two structures live on different dual charts")
-    if isinstance(symmetric_part, Prop4DualTensor):
-        second = symmetric_part.vf_contrib(h2)
-    else:
-        second = rhs_from_algebroid(symmetric_part, h2, provenance="").rhs
-    total = tuple(p + q for p, q in zip(first.rhs, second))
-    return OdeSystem(chart, total, provenance)
-
-
 # -- integration -------------------------------------------------------------------
 
 
@@ -189,7 +107,8 @@ def rhs_metriplectic_algebroid(
 class IntegratorConfig:
     """Integration settings.
 
-    ``method`` is ``"rk4_fixed"`` (uniform steps of size ``step``) or
+    ``method`` is ``"rk4_fixed"`` (``ceil(t_end / step)`` equal steps, each
+    at most ``step`` long, so the last lands on ``t_end``) or
     ``"rk45_adaptive"`` (embedded 5(4) pair; ``step`` seeds the first trial
     step and ``abs_tol``/``rel_tol`` control the per-step error test).
     """

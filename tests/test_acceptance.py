@@ -34,6 +34,7 @@ from leibniz.brackets import (
     check_derivation_second,
     check_pair_product,
     check_pair_scaling,
+    hamiltonian_vf,
 )
 from leibniz.catalog import catalog_build, catalog_verify
 from leibniz.cli import main
@@ -44,7 +45,6 @@ from leibniz.dynamics import (
     integrate,
     lie_derivative,
     observe,
-    rhs_from_bracket,
 )
 from leibniz.poly import Chart, Poly, parse_poly, restrict
 
@@ -304,7 +304,8 @@ def test_criterion_6_conservation_and_dissipation():
     config = IntegratorConfig(method="rk4_fixed", t_end=10.0, step=1e-3)
 
     # (a) the antisymmetric part alone conserves the half-norm
-    spin_system = rhs_from_bracket(_spin_tensor(X3), _top_energy(X3, A_NUMERIC), "spin-only")
+    spin_vf = hamiltonian_vf(_spin_tensor(X3), _top_energy(X3, A_NUMERIC))
+    spin_system = OdeSystem(X3, spin_vf, "spin-only")
     half_norm = _half_norm(X3)
     assert lie_derivative(spin_system, half_norm).is_zero  # exact gate
     trajectory = integrate(spin_system, (1.0, 0.5, 0.2), config)

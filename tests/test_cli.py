@@ -705,6 +705,29 @@ class TestOneLineErrors:
         proc = _run_cli("verify", str(path))
         self._assert_one_line_error(proc, "malformed structure data")
 
+    @pytest.mark.parametrize(
+        "command, symbolic, verify_code",
+        [
+            (["simulate"], [], 0),
+            # every build converts the parameter columns of the initial state to floats
+            (["simulate"], ["--symbolic"], 2),
+            (["plot", "-o", "orbit.svg"], [], 0),
+        ],
+        ids=["simulate", "simulate-symbolic", "plot"],
+    )
+    def test_parameter_beyond_float_range(
+        self, tmp_path, monkeypatch, capsys, command, symbolic, verify_code
+    ):
+        # exact arithmetic takes a1 = 1e400; a float coefficient or initial value cannot
+        monkeypatch.chdir(tmp_path)
+        entry_flags = ["revised-rigid-body", "--a=1e400,2,1", *symbolic]
+        assert main([*command, *entry_flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "orbit.svg").exists()
+        assert main(["verify", *entry_flags]) == verify_code
+        assert capsys.readouterr().err.count("\n") == (verify_code == 2)
+
 
 class TestReadersFoundByFuzzing:
     """Inputs from ``tests/test_fuzz.py`` that once ended in a traceback."""

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from leibniz import _kernels, dynamics
 from leibniz.algebroid import (
     AlgebroidStructure,
+    algebroid_vf,
     lambda_from_structure,
+    metriplectic_algebroid_vf,
     prop4_construct_dual_tensor,
 )
-from leibniz.brackets import MetriplecticPair, TensorField2
+from leibniz.brackets import MetriplecticPair, TensorField2, almost_leibniz_vf, hamiltonian_vf
 from leibniz.catalog import catalog_build
 from leibniz.dynamics import (
     IntegratorConfig,
@@ -29,10 +31,6 @@ from leibniz.dynamics import (
     integrate,
     lie_derivative,
     observe,
-    rhs_from_algebroid,
-    rhs_from_bracket,
-    rhs_from_pair,
-    rhs_metriplectic_algebroid,
     trajectory_from_json,
     trajectory_to_csv,
     trajectory_to_json,
@@ -59,7 +57,7 @@ def top_energy(a1, a2, a3) -> Poly:
 
 
 def spin_system(a=(Fraction(3, 5), Fraction(2, 5), Fraction(1, 5))) -> OdeSystem:
-    return rhs_from_bracket(spin_tensor(), top_energy(*a), "spin-top")
+    return OdeSystem(X3, hamiltonian_vf(spin_tensor(), top_energy(*a)), "spin-top")
 
 
 def dissipative_top_system(a=(Fraction(3, 5), Fraction(2, 5), Fraction(1, 5))) -> OdeSystem:
@@ -81,7 +79,7 @@ def dissipative_top_system(a=(Fraction(3, 5), Fraction(2, 5), Fraction(1, 5))) -
         rows.append(row)
     pair = MetriplecticPair(spin_tensor(), TensorField2(X3, rows))
     h = top_energy(*avec)
-    return rhs_from_pair(pair, h, h, "dissipative-top")
+    return OdeSystem(X3, almost_leibniz_vf(pair, h, h), "dissipative-top")
 
 
 def oscillator_structure() -> AlgebroidStructure:
@@ -134,8 +132,8 @@ class TestRhsBuilders:
         assert sys.dim == 3
 
     def test_zero_bracket_rhs(self):
-        sys = rhs_from_bracket(TensorField2.zero(X3), parse_poly(X3, "x1*x2*x3"))
-        assert all(p.is_zero for p in sys.rhs)
+        vf = hamiltonian_vf(TensorField2.zero(X3), parse_poly(X3, "x1*x2*x3"))
+        assert all(p.is_zero for p in vf)
 
     def test_pair_rhs_matches_reference_components(self):
         chart = X3
@@ -146,21 +144,19 @@ class TestRhsBuilders:
         pair = MetriplecticPair(P, g)
         h1 = parse_poly(chart, "1/2*x2^2 + 1/2*x3^2")
         h2 = parse_poly(chart, "1/2*x1^2 + x3")
-        sys = rhs_from_pair(pair, h1, h2)
-        assert [str(p) for p in sys.rhs] == ["x2", "x1*x3", "-x1*x2 - x2^2"]
+        vf = almost_leibniz_vf(pair, h1, h2)
+        assert [str(p) for p in vf] == ["x2", "x1*x3", "-x1*x2 - x2^2"]
 
     def test_algebroid_rhs_base_components(self):
         A = oscillator_structure()
         h = parse_poly(A.dual_chart, "x2*xi2 + x3*xi3")
-        sys = rhs_from_algebroid(A, h)
-        assert [str(p) for p in sys.rhs[:3]] == ["x2", "x1*x3", "-x1*x2"]
+        vf = algebroid_vf(A, h)
+        assert [str(p) for p in vf[:3]] == ["x2", "x1*x3", "-x1*x2"]
 
     def test_algebroid_rhs_equals_tensor_route(self):
         A = oscillator_structure()
         h = parse_poly(A.dual_chart, "x2*xi2 + x3*xi3")
-        direct = rhs_from_algebroid(A, h)
-        via_tensor = rhs_from_bracket(lambda_from_structure(A), h)
-        assert direct.rhs == via_tensor.rhs
+        assert algebroid_vf(A, h) == hamiltonian_vf(lambda_from_structure(A), h)
 
     def test_dual_path_equality_random(self):
         rng = random.Random(20260814)
@@ -174,38 +170,35 @@ class TestRhsBuilders:
             rho2 = [[_rand_poly(chart, rng, 1) for _ in range(2)] for _ in range(2)]
             A = AlgebroidStructure(chart, 2, C, rho1, rho2)
             h = _rand_poly(A.dual_chart, rng, 2)
-            direct = rhs_from_algebroid(A, h)
-            via_tensor = rhs_from_bracket(lambda_from_structure(A), h)
-            assert direct.rhs == via_tensor.rhs
+            assert algebroid_vf(A, h) == hamiltonian_vf(lambda_from_structure(A), h)
 
     def test_metriplectic_with_zeroed_second_part(self):
         A1 = spin_top_structure()
         h1 = parse_poly(A1.dual_chart, "3/5*x1*xi1 + 2/5*x2*xi2 + 1/5*x3*xi3")
         h2 = parse_poly(A1.dual_chart, "x1*xi1 + x2*xi2 + x3*xi3")
         A2 = AlgebroidStructure.zero(X3, 3)
-        combined = rhs_metriplectic_algebroid(A1, A2, h1, h2)
-        assert combined.rhs == rhs_from_algebroid(A1, h1).rhs
+        assert metriplectic_algebroid_vf(A1, A2, h1, h2) == algebroid_vf(A1, h1)
 
     def test_metriplectic_with_constructed_second_part(self):
         A1 = spin_top_structure()
         h1 = parse_poly(A1.dual_chart, "3/5*x1*xi1 + 2/5*x2*xi2 + 1/5*x3*xi3")
         h2 = parse_poly(A1.dual_chart, "x1*xi1 + x2*xi2 + x3*xi3")
         L2 = prop4_construct_dual_tensor(h1)
-        combined = rhs_metriplectic_algebroid(A1, L2, h1, h2)
+        combined = metriplectic_algebroid_vf(A1, L2, h1, h2)
         # base components must reproduce the damped top built on the plain chart
         pair_route = dissipative_top_system()
-        base = [restrict(p, X3) for p in combined.rhs[:3]]
+        base = [restrict(p, X3) for p in combined[:3]]
         assert tuple(base) == pair_route.rhs
         # fiber components are present and fiber-linear
-        assert any(not p.is_zero for p in combined.rhs[3:])
-        assert all(p.fiber_degree() <= 1 for p in combined.rhs[3:])
+        assert any(not p.is_zero for p in combined[3:])
+        assert all(p.fiber_degree() <= 1 for p in combined[3:])
 
     def test_metriplectic_chart_mismatch(self):
         A1 = spin_top_structure()
         other = AlgebroidStructure.zero(Chart(base=("x1", "x2")), 2)
         h1 = parse_poly(A1.dual_chart, "x1*xi1")
         with pytest.raises(ChartMismatchError):
-            rhs_metriplectic_algebroid(A1, other, h1, h1)
+            metriplectic_algebroid_vf(A1, other, h1, h1)
 
     def test_system_validation(self):
         with pytest.raises(ValueError):
@@ -310,14 +303,25 @@ class TestIntegrate:
             errs.append(abs(traj.states[-1, 0] - math.e))
         assert errs[0] / errs[1] >= 15.0
 
-    def test_trajectory_shape_and_invariants(self):
-        cfg = IntegratorConfig(method="rk4_fixed", t_end=0.5, step=1e-2)
+    @pytest.mark.parametrize(
+        "t_end, step, times",
+        [
+            (0.5, 1e-2, None),
+            # ceil(1 / 0.3) = 4 equal steps of 0.25, not steps of 0.3
+            (1.0, 0.3, [0.0, 0.25, 0.5, 0.75, 1.0]),
+        ],
+        ids=["step-divides-span", "step-does-not-divide-span"],
+    )
+    def test_trajectory_shape_and_invariants(self, t_end, step, times):
+        cfg = IntegratorConfig(method="rk4_fixed", t_end=t_end, step=step)
         traj = integrate(spin_system(), [1.0, 0.5, 0.2], cfg)
         assert traj.times[0] == 0.0
         assert traj.states[0].tolist() == [1.0, 0.5, 0.2]
-        assert len(traj.times) == math.ceil(0.5 / 1e-2) + 1
+        assert len(traj.times) == math.ceil(t_end / step) + 1
         assert np.all(np.diff(traj.times) > 0)
         assert traj.accepted == len(traj.times) - 1
+        if times is not None:
+            assert traj.times.tolist() == times
 
     def test_zero_rhs_constant_trajectory(self):
         sys = OdeSystem(X3, (Poly.zero(X3),) * 3)
@@ -683,7 +687,7 @@ class TestExport:
     def test_csv_header_and_roundtrip_values(self):
         A = oscillator_structure()
         h = parse_poly(A.dual_chart, "x2*xi2 + x3*xi3")
-        sys = rhs_from_algebroid(A, h)
+        sys = OdeSystem(A.dual_chart, algebroid_vf(A, h))
         cfg = IntegratorConfig(method="rk4_fixed", t_end=0.1, step=0.05)
         traj = integrate(sys, [0.5, 0.5, 0.5, 1.0, 0.5, 0.2], cfg)
         text = trajectory_to_csv(sys, traj)

@@ -16,8 +16,9 @@ and ``verify`` of each file written in all four text/json x default/strict
 modes; ``simulate`` of each entry with rk4 and rk45 to CSV and JSON; ``plot``
 of each entry and of each saved rk4 trajectory in two projections; the
 documented exit-2 usage errors, among them argparse's refusal of the removed
-``--params`` flag; and, last, ``verify`` with a repeated ``--a``, where the
-last value given wins.
+``--params`` flag; ``verify`` with a repeated ``--a``, where the last value
+given wins; and, last, ``simulate`` with a parameter beyond the float range
+(``--a=1e400,2,1``), which exits 2 with one error line.
 
 The path of the imported ``leibniz`` package goes to stderr, so a run shows
 which tree it measured; nothing else is printed.
@@ -168,8 +169,10 @@ def _usage_errors(tmp: Path) -> list[list[str]]:
     cases += [["plot", f"{inputs}/{name}", "-o", "orbit.svg"] for name in (
         "inf-status.json", "inf-state.json", "nan-state.json", "wide-state.json", "bad-times.json",
     )]
-    # last, so the case numbers before it stay those of earlier versions of this list
+    # appended in the order they were added, so the case numbers before each stay
+    # those of earlier versions of this list
     cases.append(["verify", "revised-rigid-body", "--a=1,1,1", "--a=7/10,1/2,3/10"])
+    cases.append(["simulate", "revised-rigid-body", "--a=1e400,2,1"])
     return cases
 
 
