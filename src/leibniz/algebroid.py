@@ -669,4 +669,8 @@ def structure_from_dict(data: dict) -> AlgebroidStructure:
 
 
 def structure_from_json(text: str) -> AlgebroidStructure:
-    return structure_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"malformed structure data: {exc}") from None
+    return structure_from_dict(doc)

@@ -70,16 +70,10 @@ class TensorField2:
             [[self.entries[i][j] + other.entries[i][j] for j in range(d)] for i in range(d)],
         )
 
-    def __neg__(self) -> "TensorField2":
-        return TensorField2(self.chart, [[-p for p in row] for row in self.entries])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorField2):
             return NotImplemented
         return self.chart == other.chart and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.chart, self.entries))
 
     def apply(self, f: Poly, h: Poly) -> Poly:
         """Exact bracket value [f, h] = sum_ij (d_i f) B_ij (d_j h)."""

@@ -1,15 +1,19 @@
 """Built-in example systems with transcribed reference right-hand sides.
 
-An entry is its transcription of an example in the source material: its
-builder returns only what the source states, namely a structure (bracket
-tensor, metriplectic pair, or fiber-linear structure on a dual chart), its
-generator functions, observables, an initial state, the parameters, and a
-*reference* right-hand side transcribed verbatim, as a map from coordinate
-name to polynomial (a coordinate left out, such as a symbolic parameter, has
-zero flow).  :func:`catalog_build` derives the rest once, from the entry's
-kind: the :class:`~leibniz.dynamics.OdeSystem` of the vector field its
-structure generates (the kind's ``*_vf`` function, generators in their listed
-order) and the reference in chart order.
+An entry is its transcription of an example in the source material.
+:func:`catalog_build` resolves its parameters and makes the base chart:
+``x1, x2, x3``, then, in a symbolic build, the parameters as extra base
+coordinates.  The entry's builder receives that chart and the parameter
+polynomials (variables when symbolic, constants otherwise) and returns only
+what the source states, namely a structure (bracket tensor, metriplectic
+pair, or fiber-linear structure on a dual chart), its generator functions,
+observables, the initial state of the coordinates, and a *reference*
+right-hand side transcribed verbatim, as a map from coordinate name to
+polynomial (a coordinate left out, such as a symbolic parameter, has zero
+flow).  :func:`catalog_build` derives the rest once, from the entry's kind:
+the :class:`~leibniz.dynamics.OdeSystem` of the vector field its structure
+generates (the kind's ``*_vf`` function, generators in their listed order)
+and the reference in chart order.
 
 References are never corrected: where the source is misprinted, the derived
 flow and the reference disagree, and :func:`catalog_verify` reports the
@@ -17,8 +21,7 @@ exact polynomial residual.  Known residuals are recorded in
 ``data/known_misprints.json`` so verification can distinguish "documented
 discrepancy" from "regression"; strict mode ignores that whitelist.
 
-Entries with parameters can also be built *symbolically*: the parameters
-become extra base-chart variables with zero dynamics, so derived-vs-reference
+A symbolic build gives its parameters zero dynamics, so derived-vs-reference
 comparisons hold for every admissible parameter value at once, and the
 systems remain integrable (parameters ride along as constants).
 """
@@ -66,6 +69,7 @@ __all__ = [
     "ParameterError",
     "UnknownEntryError",
     "ENTRY_NAMES",
+    "PARAMETER_NAMES",
     "catalog_list",
     "catalog_build",
     "catalog_verify",
@@ -95,7 +99,8 @@ class CatalogEntry:
     a TensorField2, a MetriplecticPair, an AlgebroidStructure, or an
     (AlgebroidStructure, Prop4DualTensor) pair.  The integration span is
     :class:`~leibniz.dynamics.IntegratorConfig`'s and the description is
-    :func:`catalog_list`'s; an entry holds neither.
+    :func:`catalog_list`'s; an entry holds neither.  ``x0`` is in chart
+    order; a symbolic parameter column holds the exact parameter value.
     """
 
     name: str
@@ -104,8 +109,8 @@ class CatalogEntry:
     reference_rhs: tuple[Poly, ...]
     hamiltonians: dict[str, Poly]
     observables: dict[str, Poly]
-    x0: tuple[float, ...]
-    params: dict[str, tuple]
+    x0: tuple[float | Fraction, ...]
+    params: dict[str, tuple[Fraction, ...]]
     symbolic: bool
     structure: object
 
@@ -116,13 +121,27 @@ class CatalogEntry:
 
 # -- parameter handling -------------------------------------------------------------
 
-_DEFAULTS = dict(gamma=(1, 1, -2), s=(1, 1, 1), a=(Fraction(3, 5), Fraction(2, 5), Fraction(1, 5)))
-_DEFAULT_TEXT = {name: f"{name}=({','.join(map(str, v))})" for name, v in _DEFAULTS.items()}
+
+class _Param(NamedTuple):
+    default: tuple
+    rule: str  # the admissibility rule, as ``list`` states it
+    chart_names: tuple[str, ...]  # its base coordinates in a symbolic build; none: a number
 
 
-def _param(params: Mapping, name: str) -> tuple[Fraction, ...]:
-    """Parameter ``name`` as three exact rationals; its default when not given."""
-    value = params.get(name, _DEFAULTS[name])
+_PARAMS = {
+    "gamma": _Param((1, 1, -2), "summing to zero", ("g1", "g2", "g3")),
+    "s": _Param((1, 1, 1), "with entries in {-1,1}", ()),
+    "a": _Param(
+        (Fraction(3, 5), Fraction(2, 5), Fraction(1, 5)), "with a1 > a2 > a3 > 0", ("a1", "a2", "a3")
+    ),
+}
+PARAMETER_NAMES: tuple[str, ...] = tuple(_PARAMS)
+
+
+def _param(params: Mapping, name: str, symbolic: bool) -> tuple[Fraction, ...]:
+    """Parameter ``name`` as three admissible exact rationals; its default when
+    not given.  A symbolic build holds for every ``a`` at once, ordered or not."""
+    value = params.get(name, _PARAMS[name].default)
     if isinstance(value, (str, bytes)):
         raise ParameterError(f"{name} must be a sequence of 3 rationals")
     try:
@@ -133,24 +152,13 @@ def _param(params: Mapping, name: str) -> tuple[Fraction, ...]:
         raise ParameterError(f"{name} has a component with a zero denominator") from exc
     if len(items) != 3:
         raise ParameterError(f"{name} needs exactly 3 components, got {len(items)}")
-    return items
-
-
-def _gamma_params(params: Mapping) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    gamma = _param(params, "gamma")
-    if sum(gamma) != 0:
+    if name == "gamma" and sum(items) != 0:
         raise ParameterError("gamma components must sum to zero exactly")
-    s = _param(params, "s")
-    if any(v not in (1, -1) for v in s):
+    if name == "s" and any(v not in (1, -1) for v in items):
         raise ParameterError("each s component must be -1 or 1")
-    return gamma, tuple(int(v) for v in s)
-
-
-def _a_params(params: Mapping, symbolic: bool) -> tuple[Fraction, ...]:
-    a = _param(params, "a")
-    if not symbolic and not (a[0] > a[1] > a[2] > 0):
+    if name == "a" and not symbolic and not (items[0] > items[1] > items[2] > 0):
         raise ParameterError("a must satisfy a1 > a2 > a3 > 0")
-    return a
+    return items
 
 
 def _check_params(params: Mapping, allowed: Sequence[str], name: str) -> None:
@@ -162,25 +170,6 @@ def _check_params(params: Mapping, allowed: Sequence[str], name: str) -> None:
 
 
 # -- shared construction pieces -----------------------------------------------------
-
-_X3 = Chart(base=("x1", "x2", "x3"))
-# symbolic parameters as extra base coordinates
-_X3_G = Chart(base=("x1", "x2", "x3", "g1", "g2", "g3"))
-_X3_A = Chart(base=("x1", "x2", "x3", "a1", "a2", "a3"))
-
-
-def _param_polys(
-    chart: Chart, names: Sequence[str], values: Sequence[Fraction], symbolic: bool
-) -> list[Poly]:
-    """Parameters as chart polynomials: variables when symbolic, constants otherwise."""
-    if symbolic:
-        return [Poly.var(chart, n) for n in names]
-    return [Poly.const(chart, v) for v in values]
-
-
-def _param_x0(values: Sequence[Fraction], symbolic: bool) -> tuple[float, ...]:
-    """Initial values of the parameter columns: the parameters, when symbolic."""
-    return tuple(float(v) for v in values) if symbolic else ()
 
 
 def _padded_tensor(chart: Chart, block: Sequence[Sequence[Poly | int]]) -> TensorField2:
@@ -242,31 +231,22 @@ def _free_top_structure(base_chart: Chart) -> AlgebroidStructure:
 # -- entry builders -----------------------------------------------------------------
 
 
-def _build_gradient_beltrami(params: Mapping, symbolic: bool) -> dict:
-    gamma, s = _gamma_params(params)
-    chart = _X3_G if symbolic else _X3
-    g_polys = _param_polys(chart, ("g1", "g2", "g3"), gamma, symbolic)
-    diagonal = [[Fraction(s[i]) * g_polys[i] if i == j else 0 for j in range(3)] for i in range(3)]
+def _build_gradient_beltrami(chart: Chart, p: Mapping) -> dict:
+    g, s = p["gamma"], p["s"]
+    diagonal = [[s[i] * g[i] if i == j else 0 for j in range(3)] for i in range(3)]
     h = parse_poly(chart, "x1*x2*x3")
     x1, x2, x3 = (Poly.var(chart, f"x{i}") for i in (1, 2, 3))
     return dict(
         structure=_padded_tensor(chart, diagonal),
         hamiltonians={"h": h},
         observables={"generator": h},
-        x0=(1.0, 1.0, 1.0) + _param_x0(gamma, symbolic),
-        params={"gamma": gamma, "s": s},
-        reference={
-            "x1": Fraction(s[0]) * g_polys[0] * x2 * x3,
-            "x2": Fraction(s[1]) * g_polys[1] * x1 * x3,
-            "x3": Fraction(s[2]) * g_polys[2] * x1 * x2,
-        },
+        x0=(1.0, 1.0, 1.0),
+        reference={"x1": s[0] * g[0] * x2 * x3, "x2": s[1] * g[1] * x1 * x3, "x3": s[2] * g[2] * x1 * x2},
     )
 
 
-def _build_revised_rigid_body(params: Mapping, symbolic: bool) -> dict:
-    a_vals = _a_params(params, symbolic)
-    chart = _X3_A if symbolic else _X3
-    a = _param_polys(chart, ("a1", "a2", "a3"), a_vals, symbolic)
+def _build_revised_rigid_body(chart: Chart, p: Mapping) -> dict:
+    a = p["a"]
     x1, x2, x3 = (Poly.var(chart, f"x{i}") for i in (1, 2, 3))
     # the energy (1/2) sum_i (a_i + 1) (x^i)^2
     h = _poly_sum(chart, (Fraction(1, 2) * (ai + 1) * xi * xi for ai, xi in zip(a, (x1, x2, x3))))
@@ -277,8 +257,7 @@ def _build_revised_rigid_body(params: Mapping, symbolic: bool) -> dict:
         ),
         hamiltonians={"h1": h, "h2": h},
         observables={"half-norm": _half_norm(chart), "energy": h},
-        x0=(1.0, 0.5, 0.2) + _param_x0(a_vals, symbolic),
-        params={"a": a_vals},
+        x0=(1.0, 0.5, 0.2),
         reference=_rigid_reference_x(chart, a),
     )
 
@@ -301,8 +280,7 @@ _ALMOST_LEIBNIZ_EX3 = dict(
 )
 
 
-def _build_almost_leibniz(text: Mapping, params: Mapping, symbolic: bool) -> dict:
-    chart = _X3
+def _build_almost_leibniz(text: Mapping, chart: Chart, p: Mapping) -> dict:
     P = TensorField2.from_strings(chart, text["P"])
     g = TensorField2.from_strings(chart, text["g"])
     h1 = parse_poly(chart, text["h1"])
@@ -312,13 +290,11 @@ def _build_almost_leibniz(text: Mapping, params: Mapping, symbolic: bool) -> dic
         hamiltonians={"h1": h1, "h2": h2},
         observables={"h1": h1, "h2": h2},
         x0=(1.0, 0.5, 0.2),
-        params={},
         reference={name: parse_poly(chart, rhs) for name, rhs in text["reference"].items()},
     )
 
 
-def _build_maxwell_bloch(params: Mapping, symbolic: bool) -> dict:
-    chart = _X3
+def _build_maxwell_bloch(chart: Chart, p: Mapping) -> dict:
     C = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
     C[0][1][2] = "-x3"
     C[0][2][1] = "x2"
@@ -348,24 +324,19 @@ def _build_maxwell_bloch(params: Mapping, symbolic: bool) -> dict:
             "invariant-2": parse_poly(dual, "1/2*x1^2 + x3"),
         },
         x0=(0.5, 0.5, 0.5, 1.0, 0.5, 0.2),
-        params={},
         reference={name: parse_poly(dual, rhs) for name, rhs in reference.items()},
     )
 
 
-def _free_top_pieces(params: Mapping, symbolic: bool) -> tuple[AlgebroidStructure, Poly, list[Poly], dict]:
+def _free_top_pieces(chart: Chart, p: Mapping) -> tuple[AlgebroidStructure, Poly, list[Poly], dict]:
     """What the two free-top entries share: the structure, the weighted
     linear generator h1, the weights a on the dual chart, and the initial
-    state and parameters."""
-    a_vals = _a_params(params, symbolic)
-    A = _free_top_structure(_X3_A if symbolic else _X3)
+    state."""
+    A = _free_top_structure(chart)
     dual = A.dual_chart
-    a = _param_polys(dual, ("a1", "a2", "a3"), a_vals, symbolic)
+    a = [embed(ai, dual) for ai in p["a"]]
     h1 = _poly_sum(dual, (ai * parse_poly(dual, f"x{i}*xi{i}") for i, ai in enumerate(a, start=1)))
-    shared = dict(
-        x0=(1.0, 0.5, 0.2) + _param_x0(a_vals, symbolic) + (0.5, 0.5, 0.5), params={"a": a_vals}
-    )
-    return A, h1, a, shared
+    return A, h1, a, dict(x0=(1.0, 0.5, 0.2, 0.5, 0.5, 0.5))
 
 
 def _reference_51(dual: Chart, a: Sequence[Poly]) -> dict[str, Poly]:
@@ -397,8 +368,8 @@ def _reference_52(dual: Chart, a: Sequence[Poly]) -> dict[str, Poly]:
     }
 
 
-def _build_rigid_body_algebroid(params: Mapping, symbolic: bool) -> dict:
-    A, h1, a, shared = _free_top_pieces(params, symbolic)
+def _build_rigid_body_algebroid(chart: Chart, p: Mapping) -> dict:
+    A, h1, a, shared = _free_top_pieces(chart, p)
     return dict(
         structure=A,
         hamiltonians={"h1": h1},
@@ -408,8 +379,8 @@ def _build_rigid_body_algebroid(params: Mapping, symbolic: bool) -> dict:
     )
 
 
-def _build_rigid_body_metriplectic(params: Mapping, symbolic: bool) -> dict:
-    A1, h1, a, shared = _free_top_pieces(params, symbolic)
+def _build_rigid_body_metriplectic(chart: Chart, p: Mapping) -> dict:
+    A1, h1, a, shared = _free_top_pieces(chart, p)
     dual = A1.dual_chart
     h2 = parse_poly(dual, "x1*xi1 + x2*xi2 + x3*xi3")
     L2 = prop4_construct_dual_tensor(h1)
@@ -448,14 +419,10 @@ def _assert_partner_matches_reference(L2: Prop4DualTensor, a: Sequence[Poly]) ->
             raise AssertionError(f"constructed fiber structure function {b} differs from the reference")
 
 
-_A_SCHEMA = f"{_DEFAULT_TEXT['a']} with a1 > a2 > a3 > 0"
-
-
 class _EntrySpec(NamedTuple):
     kind: str
-    build: Callable[[dict, bool], dict]  # the transcribed fields (module docstring)
+    build: Callable[[Chart, dict], dict]  # the transcribed fields (module docstring)
     takes: tuple[str, ...]  # the parameter names the entry accepts
-    schema: str
     description: str
 
 
@@ -464,49 +431,42 @@ _BUILDERS: dict[str, _EntrySpec] = {
         "leibniz_bracket",
         _build_gradient_beltrami,
         ("gamma", "s"),
-        f"{_DEFAULT_TEXT['gamma']} summing to zero; {_DEFAULT_TEXT['s']} with entries in {{-1,1}}",
         "Gradient-like flow of a constant diagonal symmetric tensor with a cubic generator.",
     ),
     "revised-rigid-body": _EntrySpec(
         "metriplectic_pair",
         _build_revised_rigid_body,
         ("a",),
-        _A_SCHEMA,
         "Damped free top: antisymmetric spin part plus exact quadratic damping, one energy in both slots.",
     ),
     "almost-leibniz-ex2": _EntrySpec(
         "almost_leibniz",
         functools.partial(_build_almost_leibniz, _ALMOST_LEIBNIZ_EX2),
         (),
-        "none",
         "Two-generator flow: constant-plus-linear antisymmetric part with diagonal quadratic symmetric part.",
     ),
     "almost-leibniz-ex3": _EntrySpec(
         "almost_leibniz",
         functools.partial(_build_almost_leibniz, _ALMOST_LEIBNIZ_EX3),
         (),
-        "none",
         "Two-generator flow: rotational antisymmetric part with a degenerate diagonal symmetric part.",
     ),
     "maxwell-bloch-algebroid": _EntrySpec(
         "algebroid",
         _build_maxwell_bloch,
         (),
-        "none",
         "Fiber-linear structure generating the Maxwell-Bloch equations on the base; the transcribed reference carries one documented misprint.",
     ),
     "rigid-body-algebroid": _EntrySpec(
         "algebroid",
         _build_rigid_body_algebroid,
         ("a",),
-        _A_SCHEMA,
         "Pre-Lie fiber-linear structure generating the free rigid body on the base, with a weighted linear generator.",
     ),
     "rigid-body-metriplectic-algebroid": _EntrySpec(
         "metriplectic_algebroid",
         _build_rigid_body_metriplectic,
         ("a",),
-        _A_SCHEMA,
         "Free-top antisymmetric structure paired with its constructed symmetric partner; the base flow is the damped rigid body.",
     ),
 }
@@ -522,10 +482,17 @@ _FLOW_ROUTES: dict[str, Callable[..., tuple[Poly, ...]]] = {
     "metriplectic_algebroid": metriplectic_algebroid_vf,
 }
 
+
+def _schema(takes: Sequence[str]) -> str:
+    """``list``'s parameter text: each default and its admissibility rule."""
+    texts = [f"{k}=({','.join(map(str, _PARAMS[k].default))}) {_PARAMS[k].rule}" for k in takes]
+    return "; ".join(texts) or "none"
+
+
 def catalog_list() -> list[dict[str, str]]:
     """Summaries (name, kind, parameter schema, description) for every entry; builds none."""
     return [
-        {"name": name, "kind": spec.kind, "params": spec.schema, "description": spec.description}
+        {"name": name, "kind": spec.kind, "params": _schema(spec.takes), "description": spec.description}
         for name, spec in _BUILDERS.items()
     ]
 
@@ -540,7 +507,20 @@ def catalog_build(name: str, params: Mapping | None = None, symbolic: bool = Fal
         ) from None
     params = dict(params or {})
     _check_params(params, spec.takes, name)
-    fields = spec.build(params, symbolic)
+    values = {key: _param(params, key, symbolic) for key in spec.takes}
+    # a symbolic build carries each parameter that has chart names as base
+    # coordinates after x1..x3, starting from the parameter's exact value
+    carried = [key for key in spec.takes if symbolic and _PARAMS[key].chart_names]
+    names = [n for key in carried for n in _PARAMS[key].chart_names]
+    chart = Chart(base=("x1", "x2", "x3", *names))
+    p = {
+        key: tuple(Poly.var(chart, n) for n in _PARAMS[key].chart_names)
+        if key in carried
+        else tuple(Poly.const(chart, v) for v in vals)
+        for key, vals in values.items()
+    }
+    fields = spec.build(chart, p)
+    x0 = fields.pop("x0")
     reference = fields.pop("reference")
     structure = fields["structure"]
     # a metriplectic algebroid's structure is its (antisymmetric, symmetric) pair
@@ -553,8 +533,10 @@ def catalog_build(name: str, params: Mapping | None = None, symbolic: bool = Fal
         kind=spec.kind,
         system=system,
         reference_rhs=tuple(reference.get(coord, zero) for coord in system.chart.names),
+        x0=x0[:3] + tuple(v for key in carried for v in values[key]) + x0[3:],
+        params=values,
         # an entry without parameters has nothing to carry symbolically
-        symbolic=symbolic and bool(spec.takes),
+        symbolic=bool(carried),
         **fields,
     )
 

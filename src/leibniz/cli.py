@@ -1,8 +1,9 @@
 """Command-line interface: list, verify, simulate, export, and plot catalog systems.
 
-Exit codes are a stable contract for CI use: 0 success, 1 verification or
-integration failure, or a reader that closed stdout early (``leibniz verify
---all | head``; no traceback is printed), 2 usage error (bad flags, unknown
+Exit codes are a stable contract for CI use: 0 success, 1 verification
+failure, an integration that stopped before ``t_end`` (``plot`` then writes
+no SVG), or a reader that closed stdout early (``leibniz verify --all |
+head``; no traceback is printed), 2 usage error (bad flags, unknown
 names, inadmissible or unexpected parameters, a parameter too large for a
 float, a tolerance that is not positive and finite, invalid projections, a
 file that cannot be read or written or is malformed, entry flags (``--gamma``,
@@ -33,6 +34,7 @@ from typing import Sequence
 from .algebroid import classify_algebroid, structure_from_json
 from .catalog import (
     ENTRY_NAMES,
+    PARAMETER_NAMES,
     CatalogEntry,
     UnknownEntryError,
     VerifyReport,
@@ -125,11 +127,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_PARAM_KEYS = ("gamma", "s", "a")
-
-
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    for key in _PARAM_KEYS:
+    for key in PARAMETER_NAMES:
         metavar = ",".join(f"{key[0].upper()}{i}" for i in (1, 2, 3))
         p.add_argument(f"--{key}", metavar=metavar, help=f"entry parameter {key} as exact rationals")
     p.add_argument(
@@ -158,14 +157,14 @@ def _add_integrator_flags(p: argparse.ArgumentParser) -> None:
 def _collect_params(args: argparse.Namespace) -> dict[str, tuple[str, ...]]:
     return {
         key: tuple(v.strip() for v in getattr(args, key).split(","))
-        for key in _PARAM_KEYS
+        for key in PARAMETER_NAMES
         if getattr(args, key) is not None
     }
 
 
 def _refuse_entry_flags(args: argparse.Namespace, kind: str) -> None:
     """Entry flags select a catalog entry's parameters; a file has none to set."""
-    given = [f"--{key}" for key in _PARAM_KEYS if getattr(args, key) is not None]
+    given = [f"--{key}" for key in PARAMETER_NAMES if getattr(args, key) is not None]
     if args.symbolic:
         given.append("--symbolic")
     if given:
@@ -307,30 +306,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trajectory_for_plot(args: argparse.Namespace) -> tuple[str, tuple[str, ...], Trajectory]:
-    source = args.source
-    if source in ENTRY_NAMES:
-        entry = _build_entry(source, args)
-        config = _config_from_args(args)
-        trajectory = integrate(entry.system, entry.x0, config)
-        if not trajectory.ok:
-            raise _UsageError(
-                f"integration of {source!r} stopped early (status {trajectory.status})"
-            )
-        return source, entry.chart.names, trajectory
-    path = Path(source)
+def _trajectory_file(args: argparse.Namespace) -> tuple[str, tuple[str, ...], Trajectory]:
+    path = Path(args.source)
     if path.exists():
         _refuse_entry_flags(args, "trajectory")
         _refuse_integrator_flags(args)
         names, trajectory = trajectory_from_json(path.read_text())
         return path.stem, names, trajectory
     raise UnknownEntryError(
-        f"{source!r} is neither a catalog entry ({', '.join(ENTRY_NAMES)}) nor a trajectory file"
+        f"{args.source!r} is neither a catalog entry ({', '.join(ENTRY_NAMES)}) nor a trajectory file"
     )
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    label, names, trajectory = _trajectory_for_plot(args)
+    if args.source in ENTRY_NAMES:
+        entry = _build_entry(args.source, args)
+        trajectory = integrate(entry.system, entry.x0, _config_from_args(args))
+        if not trajectory.ok:
+            stop = f"integration of {args.source!r} stopped early (status {trajectory.status})"
+            print(f"error: {stop}", file=sys.stderr)
+            return 1
+        label, names = args.source, entry.chart.names
+    else:
+        label, names, trajectory = _trajectory_file(args)
     spec = PlotSpec(projection=args.proj, width=args.width, height=args.height)
     title = args.title if args.title is not None else f"{label}: {args.proj}"
     document = render_svg(names, trajectory.states, spec, title=title)

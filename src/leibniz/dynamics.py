@@ -315,8 +315,8 @@ def trajectory_to_json(
 
 def trajectory_from_json(text: str) -> tuple[tuple[str, ...], Trajectory]:
     """Inverse of ``trajectory_to_json`` (chart names and trajectory only)."""
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         names = tuple(str(n) for n in doc["chart"])
         times = np.array(doc["times"], dtype=np.float64)
         states = np.array(doc["states"], dtype=np.float64)

@@ -646,7 +646,9 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
 
 
 class TestOneLineErrors:
-    """Failures that once ended in a traceback give one ``error:`` line and exit 2."""
+    """Failures that once ended in a traceback or a wrong exit code give one
+    ``error:`` line: exit 2 for a usage error, 1 for an integration that
+    stopped early."""
 
     def _assert_one_line_error(self, proc, fragment):
         assert proc.returncode == 2
@@ -709,8 +711,8 @@ class TestOneLineErrors:
         "command, symbolic, verify_code",
         [
             (["simulate"], [], 0),
-            # every build converts the parameter columns of the initial state to floats
-            (["simulate"], ["--symbolic"], 2),
+            # a symbolic build keeps a1 exact in its initial state; only integrate takes floats
+            (["simulate"], ["--symbolic"], 0),
             (["plot", "-o", "orbit.svg"], [], 0),
         ],
         ids=["simulate", "simulate-symbolic", "plot"],
@@ -728,6 +730,17 @@ class TestOneLineErrors:
         assert main(["verify", *entry_flags]) == verify_code
         assert capsys.readouterr().err.count("\n") == (verify_code == 2)
 
+    @pytest.mark.parametrize(
+        "command", [["simulate", "-o", "orbit.csv"], ["plot", "-o", "orbit.svg"]], ids=["simulate", "plot"]
+    )
+    def test_integration_stopped_early(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        argv = [*command, "revised-rigid-body", "--method", "rk45", "--max-steps", "3", "--t-end", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "orbit.svg").exists()
+
 
 class TestReadersFoundByFuzzing:
     """Inputs from ``tests/test_fuzz.py`` that once ended in a traceback."""
@@ -741,22 +754,30 @@ class TestReadersFoundByFuzzing:
     @pytest.mark.parametrize(
         "doc",
         [
-            {"n": 1, "m": float("inf"), "C": [], "rho1": [[]], "rho2": [[]]},
+            json.dumps({"n": 1, "m": float("inf"), "C": [], "rho1": [[]], "rho2": [[]]}),
             # the chart is never built from n alone: this one would not fit in memory
-            {"n": 10**12, "m": 1, "C": [[["0"]]], "rho1": [["0"]], "rho2": [["0"]]},
+            json.dumps({"n": 10**12, "m": 1, "C": [[["0"]]], "rho1": [["0"]], "rho2": [["0"]]}),
+            "not json",
         ],
     )
     def test_malformed_structure_numbers(self, tmp_path, capsys, doc):
         path = tmp_path / "structure.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc)
         assert main(["verify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed structure data") and err.count("\n") == 1
 
-    def test_infinite_trajectory_status(self, tmp_path, capsys):
-        doc = {"chart": ["x1", "x2"], "times": [0, 1], "states": [[0, 1], [1, 2]], "status": float("inf"), "accepted": 1, "rejected": 0}
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"chart": ["x1", "x2"], "times": [0, 1], "states": [[0, 1], [1, 2]], "status": float("inf"), "accepted": 1, "rejected": 0}),
+            "not json",
+        ],
+        ids=["infinite-status", "not-json"],
+    )
+    def test_infinite_trajectory_status(self, tmp_path, capsys, text):
         path = tmp_path / "orbit.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         assert main(["plot", str(path), "-o", str(tmp_path / "orbit.svg")]) == 2
         assert capsys.readouterr().err.startswith("error: malformed trajectory document")
 

@@ -17,8 +17,12 @@ modes; ``simulate`` of each entry with rk4 and rk45 to CSV and JSON; ``plot``
 of each entry and of each saved rk4 trajectory in two projections; the
 documented exit-2 usage errors, among them argparse's refusal of the removed
 ``--params`` flag; ``verify`` with a repeated ``--a``, where the last value
-given wins; and, last, ``simulate`` with a parameter beyond the float range
-(``--a=1e400,2,1``), which exits 2 with one error line.
+given wins; ``simulate`` with a parameter beyond the float range
+(``--a=1e400,2,1``), which exits 2 with one error line, and ``verify`` of the
+same parameter with ``--symbolic``, exact algebra that exits 0; ``simulate``
+and ``plot`` of an rk45 integration stopped early by ``--max-steps 3``, which
+exit 1 with one error line; and, last, ``verify`` and ``plot`` of a file that
+is not JSON, which exit 2 naming the malformed structure or trajectory.
 
 The path of the imported ``leibniz`` package goes to stderr, so a run shows
 which tree it measured; nothing else is printed.
@@ -106,7 +110,8 @@ def _file_cases(tmp: Path) -> list[list[str]]:
 
 
 def _usage_errors(tmp: Path) -> list[list[str]]:
-    """Cases that exit 2, as in the CLI tests; the files they read are made here."""
+    """Cases that exit 2, as in the CLI tests, then the later additions (some
+    exit 0 or 1); the files they read are made here."""
     structure = json.loads((tmp / "exported" / "rigid-body-algebroid.json").read_text())
     over_cap = copy.deepcopy(structure)
     over_cap["rho1"][0][0] = "x3^16"
@@ -131,6 +136,7 @@ def _usage_errors(tmp: Path) -> list[list[str]]:
     }
     for name, doc in documents.items():
         (tmp / "inputs" / name).write_text(json.dumps(doc))
+    (tmp / "inputs" / "not-json.json").write_text("not json")
     inputs = str(tmp / "inputs")
     structure_file, orbit_file = f"{inputs}/structure.json", f"{inputs}/orbit.json"
     cases = [
@@ -173,6 +179,10 @@ def _usage_errors(tmp: Path) -> list[list[str]]:
     # those of earlier versions of this list
     cases.append(["verify", "revised-rigid-body", "--a=1,1,1", "--a=7/10,1/2,3/10"])
     cases.append(["simulate", "revised-rigid-body", "--a=1e400,2,1"])
+    cases.append(["verify", "revised-rigid-body", "--a=1e400,2,1", "--symbolic"])
+    stopped_early = ["revised-rigid-body", "--method", "rk45", "--max-steps", "3", "--t-end", "1"]
+    cases += [["simulate", *stopped_early], ["plot", *stopped_early]]
+    cases += [["verify", f"{inputs}/not-json.json"], ["plot", f"{inputs}/not-json.json"]]
     return cases
 
 
