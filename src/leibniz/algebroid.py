@@ -631,22 +631,20 @@ def metriplectic_algebroid_vf(
 # -- JSON structure files --------------------------------------------------------
 
 
-def structure_to_dict(A: AlgebroidStructure) -> dict:
-    return {
+def structure_to_json(A: AlgebroidStructure) -> str:
+    doc = {
         "n": A.n,
         "m": A.m,
         "C": [[[str(p) for p in e] for e in row] for row in A.C],
         "rho1": [[str(p) for p in row] for row in A.rho1],
         "rho2": [[str(p) for p in row] for row in A.rho2],
     }
+    return json.dumps(doc, indent=2)
 
 
-def structure_to_json(A: AlgebroidStructure) -> str:
-    return json.dumps(structure_to_dict(A), indent=2)
-
-
-def structure_from_dict(data: dict) -> AlgebroidStructure:
+def structure_from_json(text: str) -> AlgebroidStructure:
     try:
+        data = json.loads(text)
         n = int(data["n"])
         m = int(data["m"])
         C = data["C"]
@@ -655,7 +653,7 @@ def structure_from_dict(data: dict) -> AlgebroidStructure:
         # checked before Chart.standard(n), so a bare n cannot size the chart
         if len(rho1) != n:
             raise ValueError(f"rho1 has {len(rho1)} rows, n is {n}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed structure data: {exc}") from None
     base = Chart.standard(n)
     parse = lambda s: parse_poly(base, str(s))
@@ -666,11 +664,3 @@ def structure_from_dict(data: dict) -> AlgebroidStructure:
     except TypeError as exc:  # a number where a list belongs
         raise ValueError(f"malformed structure data: {exc}") from None
     return AlgebroidStructure(base, m, C_p, rho1_p, rho2_p)
-
-
-def structure_from_json(text: str) -> AlgebroidStructure:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ValueError(f"malformed structure data: {exc}") from None
-    return structure_from_dict(doc)

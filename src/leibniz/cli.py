@@ -47,7 +47,6 @@ from .catalog import (
 )
 from .dynamics import (
     IntegratorConfig,
-    Trajectory,
     integrate,
     observe,
     trajectory_from_json,
@@ -58,10 +57,6 @@ from .poly import DegreeCapError, ExactDivisionError
 from .svgplot import PROJECTIONS, PlotSpec, render_svg
 
 __all__ = ["main", "build_parser"]
-
-
-class _UsageError(Exception):
-    """Bad command usage that argparse cannot catch itself."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,13 +157,22 @@ def _collect_params(args: argparse.Namespace) -> dict[str, tuple[str, ...]]:
     }
 
 
-def _refuse_entry_flags(args: argparse.Namespace, kind: str) -> None:
-    """Entry flags select a catalog entry's parameters; a file has none to set."""
+def _file(name: str, args: argparse.Namespace, kind: str) -> Path:
+    """The existing ``kind`` file (structure or trajectory) at ``name``, which names no entry.
+
+    Entry flags select a catalog entry's parameters; a file has none to set.
+    """
+    path = Path(name)
+    if not path.exists():
+        raise UnknownEntryError(
+            f"{name!r} is neither a catalog entry ({', '.join(ENTRY_NAMES)}) nor a {kind} file"
+        )
     given = [f"--{key}" for key in PARAMETER_NAMES if getattr(args, key) is not None]
     if args.symbolic:
         given.append("--symbolic")
     if given:
-        raise _UsageError(f"entry flags ({', '.join(given)}) do not apply to a {kind} file")
+        raise ValueError(f"entry flags ({', '.join(given)}) do not apply to a {kind} file")
+    return path
 
 
 def _refuse_integrator_flags(args: argparse.Namespace) -> None:
@@ -176,7 +180,7 @@ def _refuse_integrator_flags(args: argparse.Namespace) -> None:
     keys = ("t_end", "step", "tol", "method", "max_steps")
     given = [f"--{key.replace('_', '-')}" for key in keys if getattr(args, key) is not None]
     if given:
-        raise _UsageError(f"integrator flags ({', '.join(given)}) do not apply to a trajectory file")
+        raise ValueError(f"integrator flags ({', '.join(given)}) do not apply to a trajectory file")
 
 
 def _config_from_args(args: argparse.Namespace) -> IntegratorConfig:
@@ -239,16 +243,9 @@ def _verify_structure_file(path: Path, args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.all == (args.name is not None):
-        raise _UsageError("verify needs exactly one of: an entry name, or --all")
+        raise ValueError("verify needs exactly one of: an entry name, or --all")
     if args.name is not None and args.name not in ENTRY_NAMES:
-        path = Path(args.name)
-        if path.exists():
-            _refuse_entry_flags(args, "structure")
-            return _verify_structure_file(path, args)
-        raise UnknownEntryError(
-            f"{args.name!r} is neither a catalog entry "
-            f"({', '.join(ENTRY_NAMES)}) nor a structure file"
-        )
+        return _verify_structure_file(_file(args.name, args, "structure"), args)
     names = ENTRY_NAMES if args.all else (args.name,)
     all_ok = True
     docs = []
@@ -306,18 +303,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trajectory_file(args: argparse.Namespace) -> tuple[str, tuple[str, ...], Trajectory]:
-    path = Path(args.source)
-    if path.exists():
-        _refuse_entry_flags(args, "trajectory")
-        _refuse_integrator_flags(args)
-        names, trajectory = trajectory_from_json(path.read_text())
-        return path.stem, names, trajectory
-    raise UnknownEntryError(
-        f"{args.source!r} is neither a catalog entry ({', '.join(ENTRY_NAMES)}) nor a trajectory file"
-    )
-
-
 def cmd_plot(args: argparse.Namespace) -> int:
     if args.source in ENTRY_NAMES:
         entry = _build_entry(args.source, args)
@@ -328,7 +313,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
             return 1
         label, names = args.source, entry.chart.names
     else:
-        label, names, trajectory = _trajectory_file(args)
+        path = _file(args.source, args, "trajectory")
+        _refuse_integrator_flags(args)
+        label = path.stem
+        names, trajectory = trajectory_from_json(path.read_text())
     spec = PlotSpec(projection=args.proj, width=args.width, height=args.height)
     title = args.title if args.title is not None else f"{label}: {args.proj}"
     document = render_svg(names, trajectory.states, spec, title=title)
@@ -361,8 +349,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # KeyError subclasses repr their message; unwrap for readability
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (_UsageError, ValueError, OSError, OverflowError, DegreeCapError, ExactDivisionError) as exc:
-        # ParameterError and ProjectionError are ValueErrors
+    except (ValueError, OSError, OverflowError, DegreeCapError, ExactDivisionError) as exc:
+        # usage errors argparse cannot catch, ParameterError and ProjectionError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -317,13 +317,16 @@ def trajectory_from_json(text: str) -> tuple[tuple[str, ...], Trajectory]:
     """Inverse of ``trajectory_to_json`` (chart names and trajectory only)."""
     try:
         doc = json.loads(text)
-        names = tuple(str(n) for n in doc["chart"])
+        names = doc["chart"]
+        listed = isinstance(names, list) and all(isinstance(n, str) for n in names)
+        if not (listed and len(set(names)) == len(names)):
+            raise ValueError("the chart is not a list of distinct names")
         times = np.array(doc["times"], dtype=np.float64)
         states = np.array(doc["states"], dtype=np.float64)
         status = int(doc["status"])
         accepted = int(doc["accepted"])
         rejected = int(doc["rejected"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed trajectory document: {exc}") from exc
     if (
         times.ndim != 1
@@ -332,6 +335,6 @@ def trajectory_from_json(text: str) -> tuple[tuple[str, ...], Trajectory]:
         or states.shape[1] != len(names)
     ):
         raise ValueError("malformed trajectory document: inconsistent shapes")
-    return names, Trajectory(
+    return tuple(names), Trajectory(
         times=times, states=states, accepted=accepted, rejected=rejected, status=status
     )

@@ -22,7 +22,6 @@ from leibniz.algebroid import (
     lift_section,
     prop4_construct_dual_tensor,
     section_bracket,
-    structure_from_dict,
     structure_from_json,
     structure_from_lambda,
     structure_to_json,
@@ -436,7 +435,7 @@ def test_json_round_trip():
 
 def test_json_malformed():
     with pytest.raises(ValueError):
-        structure_from_dict({"n": 3})
+        structure_from_json('{"n": 3}')
 
 
 # -- property tests -----------------------------------------------------------------------------

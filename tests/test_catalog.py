@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from leibniz import catalog
-from leibniz.algebroid import AlgebroidStructure, structure_from_json
+from leibniz.algebroid import AlgebroidStructure, PolyFraction, structure_from_json
 from leibniz.brackets import TensorField2
 from leibniz.catalog import (
     ENTRY_NAMES,
@@ -23,7 +23,7 @@ from leibniz.catalog import (
     known_misprints,
 )
 from leibniz.dynamics import IntegratorConfig, integrate, lie_derivative, observe
-from leibniz.poly import parse_poly
+from leibniz.poly import Poly, _poly_sum, embed, parse_poly
 
 REQUIRED_NAMES = {
     "gradient-beltrami",
@@ -263,6 +263,41 @@ class TestSymbolic:
             assert traj_s.states[-1, j] == traj_s.states[0, j]
 
 
+class TestConstructedPartner:
+    """``rigid-body-metriplectic-algebroid``'s symmetric partner, built by the Prop 4
+    construction, against the damped top's transcribed matrices."""
+
+    @pytest.mark.parametrize(
+        "params, symbolic",
+        [({}, False), ({"a": ("7/10", "1/2", "3/10")}, False), ({}, True)],
+        ids=["default", "non-default", "symbolic"],
+    )
+    def test_partner_matches_reference(self, params, symbolic):
+        """Right anchor: the damped-top damping block D (any extra parameter rows
+        must vanish).  Fiber-diagonal structure functions:
+        (V_a xi_a - x^a W_a) / x^a as exact rational functions, with V_a = -D_aa
+        and W_a = sum_{k!=a} a_k^2 x^k xi_k.  Both sides are polynomial in a, so
+        the symbolic build proves the match for every a at once.
+        """
+        entry = catalog_build("rigid-body-metriplectic-algebroid", params, symbolic)
+        _, L2 = entry.structure
+        dual = L2.dual_chart
+        a = [
+            Poly.var(dual, f"a{i}") if symbolic else Poly.const(dual, ai)
+            for i, ai in enumerate(entry.params["a"], start=1)
+        ]
+        damping = catalog._padded_tensor(dual, catalog._damping_block(dual, a)).entries
+        for i in range(dual.n_base):
+            for j in range(3):
+                assert embed(L2.rho2[i][j], dual) == damping[i][j], f"right anchor entry ({i}, {j})"
+        x = [Poly.var(dual, f"x{i}") for i in (1, 2, 3)]
+        xi = [Poly.var(dual, f"xi{i}") for i in (1, 2, 3)]
+        for b in range(3):
+            W = _poly_sum(dual, (a[k] * a[k] * x[k] * xi[k] for k in range(3) if k != b))
+            expected = PolyFraction(-damping[b][b] * xi[b] - x[b] * W, x[b])
+            assert L2.c_diag[b] == expected, f"fiber structure function {b}"
+
+
 class TestCertifications:
     @pytest.mark.parametrize("name", ENTRY_NAMES)
     def test_certifications_pass_or_are_documented(self, name):
@@ -368,9 +403,14 @@ class TestStructureExport:
 class TestVerifyBuiltEntry:
     """``catalog_verify`` on an entry that is already built."""
 
+    # each parameter's documented default, written out
+    DEFAULTS = {"gamma": ("1", "1", "-2"), "s": ("1", "1", "1"), "a": ("3/5", "2/5", "1/5")}
+
     @pytest.mark.parametrize("name", ENTRY_NAMES)
     def test_same_report_as_by_name(self, name):
-        assert catalog_verify(catalog_build(name)).to_dict() == catalog_verify(name).to_dict()
+        params = {key: self.DEFAULTS[key] for key in catalog._BUILDERS[name].takes}
+        # the whole report: to_dict leaves out the derived and reference flows
+        assert catalog_verify(catalog_build(name, params)) == catalog_verify(name)
 
     def test_cross_check_builds_the_damped_top_with_the_entry_parameters(self, monkeypatch):
         calls = []

@@ -758,6 +758,7 @@ class TestReadersFoundByFuzzing:
             # the chart is never built from n alone: this one would not fit in memory
             json.dumps({"n": 10**12, "m": 1, "C": [[["0"]]], "rho1": [["0"]], "rho2": [["0"]]}),
             "not json",
+            pytest.param("[" * 100_000, id="too-deep"),  # deeper than the decoder can recurse
         ],
     )
     def test_malformed_structure_numbers(self, tmp_path, capsys, doc):
@@ -772,14 +773,18 @@ class TestReadersFoundByFuzzing:
         [
             json.dumps({"chart": ["x1", "x2"], "times": [0, 1], "states": [[0, 1], [1, 2]], "status": float("inf"), "accepted": 1, "rejected": 0}),
             "not json",
+            "[" * 100_000,
+            json.dumps({"chart": "x1x", "times": [0, 1], "states": [[0, 1, 2], [1, 2, 3]], "status": 0, "accepted": 1, "rejected": 0}),
+            json.dumps({"chart": ["x1", "x1"], "times": [0, 1], "states": [[0, 1], [1, 2]], "status": 0, "accepted": 1, "rejected": 0}),
         ],
-        ids=["infinite-status", "not-json"],
+        ids=["infinite-status", "not-json", "too-deep", "string-chart", "repeated-name"],
     )
     def test_infinite_trajectory_status(self, tmp_path, capsys, text):
         path = tmp_path / "orbit.json"
         path.write_text(text)
         assert main(["plot", str(path), "-o", str(tmp_path / "orbit.svg")]) == 2
-        assert capsys.readouterr().err.startswith("error: malformed trajectory document")
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed trajectory document") and err.count("\n") == 1
 
     def test_large_constant_coordinate(self, tmp_path, capsys):
         # a flat range padded by +-1.0 collapsed to zero width from 2**53 on

@@ -381,6 +381,15 @@ class TestIntegrate:
         assert np.all(np.isfinite(traj.states))
         assert traj.times[-1] <= 1.01
 
+    @pytest.mark.parametrize("method", ["rk4_fixed", "rk45_adaptive"])
+    def test_non_finite_first_derivative_stops_before_any_step(self, method):
+        # 1e200^3 overflows: dp54 must stop on k1 itself, not reject steps until h underflows
+        sys = OdeSystem(X1, (parse_poly(X1, "x1^3"),), "cubic")
+        traj = integrate(sys, [1e200], IntegratorConfig(method=method, t_end=1.0))
+        assert traj.status == _kernels.STATUS_NONFINITE
+        assert len(traj.times) == 1 and traj.states.shape == (1, 1)
+        assert traj.accepted == traj.rejected == 0
+
     def test_adaptive_max_steps_status(self):
         cfg = IntegratorConfig(method="rk45_adaptive", t_end=10.0, max_steps=5)
         traj = integrate(spin_system(), [1.0, 0.5, 0.2], cfg)

@@ -21,8 +21,10 @@ given wins; ``simulate`` with a parameter beyond the float range
 (``--a=1e400,2,1``), which exits 2 with one error line, and ``verify`` of the
 same parameter with ``--symbolic``, exact algebra that exits 0; ``simulate``
 and ``plot`` of an rk45 integration stopped early by ``--max-steps 3``, which
-exit 1 with one error line; and, last, ``verify`` and ``plot`` of a file that
-is not JSON, which exit 2 naming the malformed structure or trajectory.
+exit 1 with one error line; ``verify`` and ``plot`` of a file that is not
+JSON, and of a file nested deeper than the JSON decoder can recurse, which
+exit 2 naming the malformed structure or trajectory; and, last, ``plot`` of a
+trajectory whose chart is a string, not a list of names, which exits 2.
 
 The path of the imported ``leibniz`` package goes to stderr, so a run shows
 which tree it measured; nothing else is printed.
@@ -137,6 +139,8 @@ def _usage_errors(tmp: Path) -> list[list[str]]:
     for name, doc in documents.items():
         (tmp / "inputs" / name).write_text(json.dumps(doc))
     (tmp / "inputs" / "not-json.json").write_text("not json")
+    (tmp / "inputs" / "deep.json").write_text("[" * 100_000)
+    (tmp / "inputs" / "string-chart.json").write_text(json.dumps(dict(orbit, chart="x1x", states=[[0, 1, 2], [1, 2, 3]])))
     inputs = str(tmp / "inputs")
     structure_file, orbit_file = f"{inputs}/structure.json", f"{inputs}/orbit.json"
     cases = [
@@ -183,6 +187,8 @@ def _usage_errors(tmp: Path) -> list[list[str]]:
     stopped_early = ["revised-rigid-body", "--method", "rk45", "--max-steps", "3", "--t-end", "1"]
     cases += [["simulate", *stopped_early], ["plot", *stopped_early]]
     cases += [["verify", f"{inputs}/not-json.json"], ["plot", f"{inputs}/not-json.json"]]
+    cases += [["verify", f"{inputs}/deep.json"], ["plot", f"{inputs}/deep.json"]]
+    cases.append(["plot", f"{inputs}/string-chart.json", "-o", "orbit.svg"])
     return cases
 
 
